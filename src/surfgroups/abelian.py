@@ -37,6 +37,12 @@ class AbelianGroup:
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 
+    @classmethod
+    def from_diagonal(cls, diagonal: Sequence[int], cols: int) -> "AbelianGroup":
+        """Z^cols modulo the row lattice of a matrix with this Smith diagonal."""
+        nonzero = [d for d in diagonal if d]
+        return cls(cols - len(nonzero), tuple(d for d in nonzero if d > 1))
+
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -49,17 +55,20 @@ def _identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
-
-
 def _validate(mat: Sequence[Sequence[int]]) -> Matrix:
-    A = [list(row) for row in mat]
-    if A and any(len(row) != len(A[0]) for row in A):
-        raise ValueError("ragged matrix")
+    """A working copy of a list of equal-length rows of ints (not bools)."""
+    if not isinstance(mat, (list, tuple)):
+        raise ValueError(f"matrix must be a list of rows, got {type(mat).__name__}")
+    A = []
+    for i, row in enumerate(mat):
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"row {i} must be a list of integers, got {row!r}")
+        if A and len(row) != len(A[0]):
+            raise ValueError(f"ragged matrix: row {i} has length {len(row)}, row 0 has {len(A[0])}")
+        if not set(map(type, row)) <= {int}:  # bools and floats fail here
+            j, x = next((j, x) for j, x in enumerate(row) if type(x) is not int)
+            raise ValueError(f"entry at row {i}, column {j} must be an integer, got {x!r}")
+        A.append(list(row))
     return A
 
 
@@ -158,11 +167,8 @@ def smith_normal_form(mat: Sequence[Sequence[int]], transforms: bool = False) ->
 
 def cokernel(mat: Sequence[Sequence[int]]) -> AbelianGroup:
     """Z^cols modulo the row lattice of the matrix, in invariant-factor form."""
-    A = _validate(mat)
-    cols = len(A[0]) if A else 0
-    diagonal = smith_normal_form(A).diagonal if A else ()
-    nonzero = [d for d in diagonal if d]
-    return AbelianGroup(cols - len(nonzero), tuple(d for d in nonzero if d > 1))
+    diagonal = smith_normal_form(mat).diagonal  # validates mat
+    return AbelianGroup.from_diagonal(diagonal, len(mat[0]) if mat else 0)
 
 
 NONORIENTABLE_RANK_NOTE = (
@@ -176,6 +182,11 @@ def _check_gk(g: int, k: int) -> None:
         raise ValueError(f"requires g >= 1 and k >= 1, got g={g}, k={k}")
 
 
+def _kill_basis_vectors(rank: int, first: int) -> Matrix:
+    """One relation row per basis vector first, first + 1, ..., rank - 1."""
+    return [[0] * i + [1] + [0] * (rank - i - 1) for i in range(first, rank)]
+
+
 def nab_quotient_orientable(g: int, k: int) -> AbelianGroup:
     """Abelianised fiber modulo coinvariants for a genus-g orientable surface
     with k strands: basis {rho_r, tau_r (r <= g), C_m (m <= k-1)} of rank
@@ -183,14 +194,7 @@ def nab_quotient_orientable(g: int, k: int) -> AbelianGroup:
     """
     _check_gk(g, k)
     rank = 2 * g + k - 1
-    relations = []
-    for m in range(k - 1):
-        row = [0] * rank
-        row[2 * g + m] = 1  # C_{m,k+1} is itself a basis vector
-        relations.append(row)
-    if not relations:
-        relations = [[0] * rank]
-    return cokernel(relations)
+    return cokernel(_kill_basis_vectors(rank, 2 * g) or [[0] * rank])
 
 
 def nab_quotient_nonorientable(g: int, k: int) -> AbelianGroup:
@@ -200,10 +204,4 @@ def nab_quotient_nonorientable(g: int, k: int) -> AbelianGroup:
     """
     _check_gk(g, k)
     rank = g + (k - 1)
-    relations = []
-    for m in range(k - 1):
-        row = [0] * rank
-        row[g + m] = 1
-        relations.append(row)
-    relations.append([2] * g + [0] * (k - 1))
-    return cokernel(relations)
+    return cokernel(_kill_basis_vectors(rank, g) + [[2] * g + [0] * (k - 1)])

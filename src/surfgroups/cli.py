@@ -9,7 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from types import ModuleType
+from typing import Callable
 
 from . import abelian, dims, embeddings, klein, torusbraid
 from .words import Alphabet, GroupHom, HomReport, Presentation, WordParseError
@@ -23,18 +26,6 @@ EXIT_PARSE = 2
 
 class CliDomainError(Exception):
     pass
-
-
-def _parse_klein(text: str) -> klein.KleinElement:
-    return klein.from_word(klein.KLEIN_ALPHABET.parse(text))
-
-
-def _parse_b2t(text: str) -> torusbraid.B2TElement:
-    return torusbraid.from_word(torusbraid.B2T_ALPHABET.parse(text))
-
-
-def _parse_p2t(text: str) -> torusbraid.B2TElement:
-    return torusbraid.from_word(torusbraid.P2T_ALPHABET.parse(text))
 
 
 def _klein_json(e: klein.KleinElement) -> dict:
@@ -51,16 +42,21 @@ def _b2t_json(e: torusbraid.B2TElement) -> dict:
     }
 
 
+@dataclass(frozen=True)
 class _Engine:
-    def __init__(self, parse, to_json):
-        self.parse = parse
-        self.to_json = to_json
+    module: ModuleType  # klein or torusbraid, whichever provides from_word
+    alphabet: Alphabet
+    identity: object
+    to_json: Callable[..., dict]
+
+    def parse(self, text: str):
+        return self.module.from_word(self.alphabet.parse(text))
 
 
 ENGINES = {
-    "klein": _Engine(_parse_klein, _klein_json),
-    "p2t": _Engine(_parse_p2t, _b2t_json),
-    "b2t": _Engine(_parse_b2t, _b2t_json),
+    "klein": _Engine(klein, klein.KLEIN_ALPHABET, klein.KLEIN_IDENTITY, _klein_json),
+    "p2t": _Engine(torusbraid, torusbraid.P2T_ALPHABET, torusbraid.IDENTITY, _b2t_json),
+    "b2t": _Engine(torusbraid, torusbraid.B2T_ALPHABET, torusbraid.IDENTITY, _b2t_json),
 }
 
 
@@ -90,9 +86,31 @@ def cmd_inv(args) -> dict:
     return {"group": args.group, "element": engine.to_json(engine.parse(args.word).inverse())}
 
 
+_HOM_SPEC_FIELDS = (
+    ("alphabet", list, "an array of generator names"),
+    ("relators", list, "an array of words"),
+    ("target", str, "an engine name"),
+    ("images", dict, "an object mapping generators to words"),
+)
+
+
+def _check_hom_spec(spec) -> None:
+    """Name the first missing or ill-typed field of a hom-check spec."""
+    if not isinstance(spec, dict):
+        raise CliDomainError(f"hom-check spec must be a JSON object, got {type(spec).__name__}")
+    for field, kind, what in _HOM_SPEC_FIELDS:
+        if field not in spec:
+            raise CliDomainError(f"hom-check spec is missing field {field!r}")
+        value = spec[field]
+        items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+        if not isinstance(value, kind) or not all(isinstance(v, str) for v in items):
+            raise CliDomainError(f"hom-check spec field {field!r} must be {what}")
+
+
 def cmd_hom_check(args) -> dict:
     with open(args.file) as fh:
         spec = json.load(fh)
+    _check_hom_spec(spec)
     alphabet = Alphabet.of(*spec["alphabet"])
     presentation = Presentation.parse(alphabet, spec["relators"])
     target = spec["target"]
@@ -100,13 +118,12 @@ def cmd_hom_check(args) -> dict:
         raise CliDomainError(f"unknown target engine {target!r}")
     engine = ENGINES[target]
     images = {name: engine.parse(word) for name, word in spec["images"].items()}
-    identity = klein.KLEIN_IDENTITY if target == "klein" else torusbraid.IDENTITY
-    hom = GroupHom(presentation, images, identity=identity)
+    hom = GroupHom(presentation, images, identity=engine.identity)
     return {"target": target, "report": _hom_report_json(hom.verify())}
 
 
 def cmd_phi1(args) -> dict:
-    elem = _parse_klein(args.word)
+    elem = ENGINES["klein"].parse(args.word)
     image = embeddings.phi1(elem)
     data = {"input": _klein_json(elem), "image": _b2t_json(image)}
     if args.closed_form:
@@ -132,19 +149,14 @@ _ENDO_NAMES = ("E1", "E2", "E3", "E4")
 
 def cmd_mcgk(args) -> dict:
     endos = dict(zip(_ENDO_NAMES, klein.MCG_K))
+    sl2 = {name: embeddings.induced_sl2(e) for name, e in endos.items()}
     data = {
         "automorphisms": {
             name: {"al": str(e.image_alpha), "be": str(e.image_beta)}
             for name, e in endos.items()
         },
-        "sl2_images": {
-            name: embeddings.induced_sl2(e).rows() for name, e in endos.items()
-        },
-        "kernel": [
-            name
-            for name, e in endos.items()
-            if embeddings.induced_sl2(e) == embeddings.MAT_I
-        ],
+        "sl2_images": {name: m.rows() for name, m in sl2.items()},
+        "kernel": [name for name, m in sl2.items() if m == embeddings.MAT_I],
     }
     if args.table:
         lookup = {e: name for name, e in endos.items()}
@@ -182,18 +194,18 @@ def cmd_lift(args) -> dict:
     }
 
 
+def _group_json(group: abelian.AbelianGroup) -> dict:
+    return {"free_rank": group.free_rank, "torsion": list(group.torsion), "display": str(group)}
+
+
 def cmd_snf(args) -> dict:
     with open(args.matrix) as fh:
         mat = json.load(fh)
     result = abelian.smith_normal_form(mat, transforms=args.transforms)
-    group = abelian.cokernel(mat) if mat else abelian.AbelianGroup(0, ())
+    group = abelian.AbelianGroup.from_diagonal(result.diagonal, len(mat[0]) if mat else 0)
     data = {
         "diagonal": list(result.diagonal),
-        "cokernel": {
-            "free_rank": group.free_rank,
-            "torsion": list(group.torsion),
-            "display": str(group),
-        },
+        "cokernel": _group_json(group),
     }
     if args.transforms:
         data["U"] = [list(r) for r in result.U]
@@ -212,11 +224,7 @@ def cmd_nab(args) -> dict:
         "surface": args.surface,
         "g": args.genus,
         "k": args.punctures,
-        "quotient": {
-            "free_rank": group.free_rank,
-            "torsion": list(group.torsion),
-            "display": str(group),
-        },
+        "quotient": _group_json(group),
         "notes": notes,
     }
 
@@ -334,15 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(data: dict, as_json: bool, diagnostics: list[str] | None = None) -> None:
+def _print_envelope(status: str, data: dict, diagnostics: list[str]) -> None:
+    envelope = {"schema": SCHEMA_ID, "status": status, "data": data, "diagnostics": diagnostics}
+    print(json.dumps(envelope, indent=2, sort_keys=True))
+
+
+def _emit(data: dict, as_json: bool) -> None:
     if as_json:
-        envelope = {
-            "schema": SCHEMA_ID,
-            "status": "ok",
-            "data": data,
-            "diagnostics": diagnostics or [],
-        }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+        _print_envelope("ok", data, [])
     else:
         _print_human(data)
 
@@ -380,13 +387,7 @@ def _fmt_flat(value) -> str:
 
 def _emit_error(message: str, as_json: bool) -> None:
     if as_json:
-        envelope = {
-            "schema": SCHEMA_ID,
-            "status": "error",
-            "data": {},
-            "diagnostics": [message],
-        }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+        _print_envelope("error", {}, [message])
     else:
         print(f"error: {message}", file=sys.stderr)
 

@@ -78,13 +78,13 @@ class BallReport:
         return not self.collisions and self.count == (2 * self.radius + 1) ** 2
 
 
-def certify_injectivity_ball(radius: int, bound: int = DEFAULT_BALL_BOUND) -> BallReport:
+def certify_injectivity_ball(radius: int) -> BallReport:
     """Enumerate all al^r be^s with |r|, |s| <= radius and certify that their
     images are pairwise distinct by canonical-form hashing."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if radius > bound:
-        raise ValueError(f"radius {radius} exceeds configured bound {bound}")
+    if radius > DEFAULT_BALL_BOUND:
+        raise ValueError(f"radius {radius} exceeds configured bound {DEFAULT_BALL_BOUND}")
     seen: dict = {}
     collisions = []
     for r in range(-radius, radius + 1):
@@ -115,9 +115,6 @@ class IntMat2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def __neg__(self) -> "IntMat2":
-        return IntMat2(-self.a, -self.b, -self.c, -self.d)
 
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Alphabet, FreeWord, Presentation, RewriteRule
+from .words import Alphabet, FreeWord, Presentation, RewriteRule, fold, power
 
 KLEIN_ALPHABET = Alphabet.of("al", "be")
 
@@ -33,16 +33,7 @@ class KleinElement:
         return KleinElement(sign * self.r, -self.s)
 
     def __pow__(self, n: int) -> "KleinElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = KLEIN_IDENTITY
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, KLEIN_IDENTITY)
 
     def commutes_with(self, other: "KleinElement") -> bool:
         return self * other == other * self
@@ -61,15 +52,12 @@ class KleinElement:
 KLEIN_IDENTITY = KleinElement(0, 0)
 ALPHA = KleinElement(1, 0)
 BETA = KleinElement(0, 1)
+KLEIN_IMAGES = {"al": ALPHA, "be": BETA}
 
 
 def from_word(w: FreeWord) -> KleinElement:
     """Fold a word over {al, be} through the engine."""
-    result = KLEIN_IDENTITY
-    for name, exp in w.syllables:
-        gen = ALPHA if name == "al" else BETA
-        result = result * gen ** exp
-    return result
+    return fold(KLEIN_IMAGES, KLEIN_IDENTITY, w.syllables)
 
 
 def klein_rewrite_rules() -> list[RewriteRule]:
@@ -118,18 +106,6 @@ class KleinEndo:
             raise ValueError("outer_class requires an automorphism")
         r = -b.r if a.r == -1 else b.r
         return KleinEndo(ALPHA, KleinElement(r % 2, b.s))
-
-
-def apply_endo(e: KleinEndo, u: KleinElement) -> KleinElement:
-    return e(u)
-
-
-def compose_endo(e: KleinEndo, f: KleinEndo) -> KleinEndo:
-    return e.compose(f)
-
-
-def verify_endo(e: KleinEndo) -> bool:
-    return e.verify()
 
 
 def mcg_compose(e: KleinEndo, f: KleinEndo) -> KleinEndo:

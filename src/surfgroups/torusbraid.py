@@ -19,6 +19,8 @@ from .words import (
     Presentation,
     RewriteRule,
     commutator,
+    fold,
+    power,
 )
 
 XY = Alphabet.of("x", "y")
@@ -49,9 +51,6 @@ class B2TElement:
     def is_identity(self) -> bool:
         return self.w.is_identity() and self.m == 0 and self.n == 0 and self.eps == 0
 
-    def is_pure(self) -> bool:
-        return self.eps == 0
-
     def __mul__(self, other: "B2TElement") -> "B2TElement":
         if self.eps == 0:
             return B2TElement(
@@ -71,16 +70,7 @@ class B2TElement:
         return SIGMA_INV * pure_inv
 
     def __pow__(self, k: int) -> "B2TElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = IDENTITY
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, IDENTITY)
 
     def commutes_with(self, other: "B2TElement") -> bool:
         return self * other == other * self
@@ -119,6 +109,9 @@ SIGMA_INV = B2TElement(B_INV_WORD, 0, 0, 1)
 
 GENERATORS = (GEN_X, GEN_Y, GEN_A, GEN_B, SIGMA)
 
+# Images of the letters of B2T_ALPHABET; B is the full twist [x, y^-1].
+B2T_IMAGES = {"x": GEN_X, "y": GEN_Y, "a": GEN_A, "b": GEN_B, "s": SIGMA, "B": FULL_TWIST}
+
 # Conjugation by s, letter by letter:
 #   s x s^-1 = B x^-1 a,   s y s^-1 = B y^-1 b,   a and b are fixed.
 # Each entry maps a letter to (free part, a-correction, b-correction).
@@ -147,11 +140,7 @@ def from_word(w: FreeWord) -> B2TElement:
 
     B is parsed as the full twist [x, y^-1], not as a free generator.
     """
-    table = {"x": GEN_X, "y": GEN_Y, "a": GEN_A, "b": GEN_B, "s": SIGMA, "B": FULL_TWIST}
-    result = IDENTITY
-    for name, exp in w.syllables:
-        result = result * table[name] ** exp
-    return result
+    return fold(B2T_IMAGES, IDENTITY, w.syllables)
 
 
 B2T_ALPHABET = Alphabet.of("x", "y", "a", "b", "s", "B")
@@ -175,10 +164,6 @@ def p2t_central_rules() -> list[RewriteRule]:
     return rules
 
 
-def _hom(presentation: Presentation, images: dict) -> GroupHom:
-    return GroupHom(presentation, images, identity=IDENTITY)
-
-
 def b2t_presentation() -> Presentation:
     """The six-generator presentation of the full group, as relators."""
     al = B2T_ALPHABET
@@ -200,11 +185,7 @@ def b2t_presentation() -> Presentation:
 
 def verify_presentation_b2t() -> HomReport:
     """Check relations (a)-(f) of the six-generator presentation in the engine."""
-    hom = _hom(
-        b2t_presentation(),
-        {"x": GEN_X, "y": GEN_Y, "a": GEN_A, "b": GEN_B, "s": SIGMA, "B": FULL_TWIST},
-    )
-    return hom.verify()
+    return GroupHom(b2t_presentation(), B2T_IMAGES, identity=IDENTITY).verify()
 
 
 # Images of the five surface generators rho_{i,j} in the engine:
@@ -253,7 +234,7 @@ def verify_presentation_rho() -> HomReport:
     plus the two derived relations, in the engine."""
     pres = rho_presentation()
     pres = Presentation(pres.alphabet, pres.relators + tuple(useful_relators()))
-    return _hom(pres, RHO_IMAGES).verify()
+    return GroupHom(pres, RHO_IMAGES, identity=IDENTITY).verify()
 
 
 # The intermediate change of variables: d11 = r11, t11 = r12,
@@ -284,15 +265,7 @@ def delta_tau_presentation() -> Presentation:
 
 
 def verify_presentation_delta_tau() -> HomReport:
-    return _hom(delta_tau_presentation(), DELTA_TAU_IMAGES).verify()
-
-
-# Some sources state the center for the 1-string group where the context is
-# the 2-string group; the engine certifies <a, b> as the center of the full
-# 2-string group directly.
-CENTER_NOTE = (
-    "center certified as <a, b>: elements with trivial free part and eps = 0"
-)
+    return GroupHom(delta_tau_presentation(), DELTA_TAU_IMAGES, identity=IDENTITY).verify()
 
 
 def verify_all_presentations() -> dict[str, HomReport]:

@@ -124,16 +124,7 @@ class FreeWord:
         )
 
     def __pow__(self, n: int) -> "FreeWord":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.alphabet.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.alphabet.identity())
 
     def letters(self) -> Iterator[tuple[str, int]]:
         """Yield (name, +-1) letter by letter."""
@@ -147,6 +138,29 @@ class FreeWord:
 
     def __str__(self) -> str:
         return format_word(self.syllables)
+
+
+def power(x, n: int, identity):
+    """x^n by square-and-multiply in any engine with `__mul__` and
+    `inverse()`; a negative n powers x.inverse()."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    result = identity
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
+def fold(images, identity, syllables: Iterable[tuple[str, int]]):
+    """The product of images[name]^exp over the syllables, in order."""
+    result = identity
+    for name, exp in syllables:
+        result = result * power(images[name], exp, identity)
+    return result
 
 
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -260,26 +274,13 @@ class GroupHom:
         """Multiplicative extension of the generator images."""
         if w.alphabet != self.source.alphabet:
             raise AlphabetMismatch(f"word {w} not over the source alphabet")
-        result = self.identity
-        for name, exp in w.syllables:
-            img = self.images[name]
-            piece = img ** exp if exp >= 0 else img.inverse() ** (-exp)
-            result = result * piece
-        return result
+        return fold(self.images, self.identity, w.syllables)
 
     def verify(self) -> HomReport:
         """The map extends to a homomorphism iff every relator maps to 1."""
         return HomReport(
             tuple((str(r), self.evaluate(r).is_identity()) for r in self.source.relators)
         )
-
-
-def evaluate_hom(h: GroupHom, w: FreeWord):
-    return h.evaluate(w)
-
-
-def verify_hom(h: GroupHom) -> HomReport:
-    return h.verify()
 
 
 @dataclass(frozen=True)

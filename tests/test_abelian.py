@@ -120,11 +120,40 @@ class TestSmithNormalForm:
             assert group.free_rank == expected_rank
 
 
+class TestValidation:
+    @pytest.mark.parametrize(
+        "mat, where",
+        [
+            ([[1.5, 2], [3, 4]], "row 0, column 0"),
+            ([[1, "a"], [2, 3]], "row 0, column 1"),
+            ([[1, 2], [3, True]], "row 1, column 1"),
+            ([[1, 2], [3]], "row 1 has length 1"),
+            ([1, 2], "row 0"),
+            ({"a": 1}, "list of rows"),
+        ],
+    )
+    def test_rejects_non_integer_matrices(self, mat, where):
+        with pytest.raises(ValueError, match=where):
+            smith_normal_form(mat)
+        with pytest.raises(ValueError, match=where):
+            cokernel(mat)
+
+    def test_accepts_empty_and_tuple_matrices(self):
+        assert smith_normal_form([]).diagonal == ()
+        assert cokernel([]) == AbelianGroup(0, ())
+        assert cokernel([[]]) == AbelianGroup(0, ())
+        assert smith_normal_form(((2, 0), (0, 3))).diagonal == (1, 6)
+
+
 class TestAbelianGroup:
     def test_display(self):
         assert str(AbelianGroup(2, ())) == "Z^2"
         assert str(AbelianGroup(1, (2,))) == "Z + Z/2"
         assert str(AbelianGroup(0, ())) == "0"
+
+    def test_from_diagonal(self):
+        assert AbelianGroup.from_diagonal((1, 2, 0), 4) == AbelianGroup(2, (2,))
+        assert AbelianGroup.from_diagonal((), 0) == AbelianGroup(0, ())
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):

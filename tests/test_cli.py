@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from surfgroups.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, main
+import surfgroups
+from surfgroups.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, build_parser, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 ENVELOPE = json.loads((SCHEMA_DIR / "envelope.schema.json").read_text())
@@ -94,6 +95,11 @@ class TestEmbeddingCommands:
         assert sorted(env["data"]["kernel"]) == ["E1", "E2"]
         assert env["data"]["compose_table"]["E3*E3"] == "E1"
 
+    def test_ball_refuses_radius_over_bound(self, capsys):
+        code, env = run_json(capsys, "ball", "--radius", "65")
+        assert code == EXIT_DOMAIN
+        assert "exceeds configured bound 64" in env["diagnostics"][0]
+
     def test_lift(self, capsys):
         code, env = run_json(capsys, "lift", "--points", "1/4,0;1/3,1/2")
         assert code == EXIT_OK
@@ -113,6 +119,31 @@ class TestAlgebraCommands:
         assert code == EXIT_OK
         validate_data(env["data"], "snf")
         assert env["data"]["diagonal"] == [1, 6]
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[[1.5, 2], [3, 4]]", "row 0, column 0"),
+            ('[[1, "a"], [2, 3]]', "row 0, column 1"),
+            ("[1, 2]", "row 0"),
+            ('{"a": 1}', "list of rows"),
+        ],
+    )
+    def test_snf_rejects_malformed_matrix(self, capsys, tmp_path, text, where):
+        mat = tmp_path / "mat.json"
+        mat.write_text(text)
+        code, env = run_json(capsys, "snf", "--matrix", str(mat))
+        assert code == EXIT_DOMAIN
+        assert env["status"] == "error"
+        assert where in env["diagnostics"][0]
+
+    def test_snf_empty_matrix(self, capsys, tmp_path):
+        mat = tmp_path / "mat.json"
+        mat.write_text("[]")
+        code, env = run_json(capsys, "snf", "--matrix", str(mat))
+        assert code == EXIT_OK
+        validate_data(env["data"], "snf")
+        assert env["data"]["cokernel"] == {"free_rank": 0, "torsion": [], "display": "0"}
 
     def test_nab(self, capsys):
         code, env = run_json(
@@ -194,7 +225,46 @@ class TestVerification:
         assert code == EXIT_OK
         assert env["data"]["report"]["passed"] is False
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([1, 2], "must be a JSON object"),
+            ({"alphabet": ["al"], "relators": [], "target": "klein"}, "missing field 'images'"),
+            (
+                {"alphabet": ["al"], "relators": "al", "target": "klein", "images": {"al": "al"}},
+                "field 'relators' must be",
+            ),
+            (
+                {"alphabet": ["al"], "relators": [], "target": "klein", "images": {"al": 1}},
+                "field 'images' must be",
+            ),
+        ],
+    )
+    def test_hom_check_rejects_malformed_spec(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "hom.json"
+        path.write_text(json.dumps(spec))
+        code, env = run_json(capsys, "hom-check", "--file", str(path))
+        assert code == EXIT_DOMAIN
+        assert message in env["diagnostics"][0]
+
     def test_human_output(self, capsys):
         code, out = run(capsys, "phi1", "--word", "be^2")
         assert code == EXIT_OK
         assert "b" in out
+
+
+def test_public_surface_is_pinned():
+    assert surfgroups.__all__ == [
+        "AbelianGroup", "Alphabet", "B2TElement", "DimAnswer", "E1", "E2", "E3", "E4",
+        "FreeWord", "Generator", "GroupHom", "KleinElement", "KleinEndo", "mcg_compose",
+        "KleinPoint", "MCG_K", "Presentation", "SurfaceSpec", "TorusPoint",
+        "certify_injectivity_ball", "cokernel", "consistency_sweep", "dim_query",
+        "induced_sl2", "ker_phi_mcgk", "lift_configuration", "lift_matrices",
+        "nab_quotient_nonorientable", "nab_quotient_orientable", "oracle_normal_form",
+        "phi1", "phi1_closed_form", "smith_normal_form", "verify_all_presentations",
+    ]
+    (subcommands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert list(subcommands.choices) == [
+        "nf", "mul", "inv", "hom-check", "phi1", "ball", "mcgk", "lift", "snf", "nab",
+        "dims", "verify-presentations",
+    ]

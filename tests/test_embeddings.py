@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from surfgroups.embeddings import (
+    DEFAULT_BALL_BOUND,
     MAT_I,
     BallReport,
     DuplicatePoint,
@@ -90,6 +91,8 @@ class TestInjectivityBall:
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             certify_injectivity_ball(100)
+        with pytest.raises(ValueError):
+            certify_injectivity_ball(DEFAULT_BALL_BOUND + 1)
 
 
 class TestLiftMatrices:

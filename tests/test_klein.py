@@ -13,11 +13,9 @@ from surfgroups.klein import (
     MCG_K,
     KleinElement,
     KleinEndo,
-    compose_endo,
     from_word,
     mcg_compose,
     klein_rewrite_rules,
-    verify_endo,
 )
 from surfgroups.words import oracle_normal_form
 
@@ -92,13 +90,13 @@ class TestCenter:
 class TestEndos:
     def test_all_shipped_verify(self):
         for e in MCG_K:
-            assert verify_endo(e)
+            assert e.verify()
 
     def test_e2_fixes_beta_squared(self):
         assert E2(KleinElement(0, 2)) == KleinElement(0, 2)
 
     def test_identity_composition(self):
-        assert compose_endo(E1, E1) == E1
+        assert E1.compose(E1) == E1
 
     def test_klein_four_group(self):
         assert len(set(MCG_K)) == 4
@@ -110,7 +108,7 @@ class TestEndos:
     def test_raw_composition_is_inner_equivalent(self):
         # E2 . E2 fixes al and sends be to al^2*be, which is conjugation
         # by al; its outer class is trivial.
-        raw = compose_endo(E2, E2)
+        raw = E2.compose(E2)
         assert raw.image_beta == KleinElement(2, 1)
         assert raw.outer_class() == E1
 
@@ -126,4 +124,4 @@ class TestEndos:
 
     def test_non_endomorphism_detected(self):
         bad = KleinEndo(ALPHA, ALPHA)  # be -> al maps the relator to al^3
-        assert not verify_endo(bad)
+        assert not bad.verify()

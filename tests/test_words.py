@@ -1,9 +1,11 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
 
 from surfgroups.klein import KLEIN_ALPHABET, KLEIN_PRESENTATION, KLEIN_IDENTITY, from_word
+from surfgroups.torusbraid import IDENTITY as B2T_IDENTITY
 from surfgroups.words import (
     Alphabet,
     AlphabetMismatch,
@@ -13,10 +15,13 @@ from surfgroups.words import (
     RewriteRule,
     UnknownGenerator,
     WordParseError,
+    fold,
     oracle_normal_form,
     parse_word,
     reduce_syllables,
 )
+
+from conftest import random_b2t, random_klein, random_word
 
 AB = Alphabet.of("x", "y")
 
@@ -96,6 +101,52 @@ class TestGroupLaws:
             full = AB.word(raw)
             cut = rng.randint(0, len(raw))
             assert AB.word(raw[:cut]) * AB.word(raw[cut:]) == full
+
+
+@dataclass(frozen=True)
+class AddZ:
+    """The integers under addition, with only the operations GroupHom needs."""
+
+    k: int
+
+    def __mul__(self, other: "AddZ") -> "AddZ":
+        return AddZ(self.k + other.k)
+
+    def inverse(self) -> "AddZ":
+        return AddZ(-self.k)
+
+    def is_identity(self) -> bool:
+        return self.k == 0
+
+
+class TestPowerAndFold:
+    def test_pow_matches_repeated_multiplication(self, rng):
+        for _ in range(10):
+            for x, one in (
+                (random_word(rng, AB), AB.identity()),
+                (random_klein(rng), KLEIN_IDENTITY),
+                (random_b2t(rng), B2T_IDENTITY),
+            ):
+                for n in range(-6, 7):
+                    step = x if n >= 0 else x.inverse()
+                    expected = one
+                    for _ in range(abs(n)):
+                        expected = expected * step
+                    assert x ** n == expected
+                    assert (x ** n * x ** -n).is_identity()
+
+    def test_fold_multiplies_powers_in_order(self):
+        images = {"x": AddZ(2), "y": AddZ(-3)}
+        assert fold(images, AddZ(0), ()) == AddZ(0)
+        assert fold(images, AddZ(0), w("x^3*y^-2*x^-1").syllables) == AddZ(10)
+        swap = {"x": w("y"), "y": w("x")}  # a non-abelian target sees the order
+        assert fold(swap, AB.identity(), w("x^3*y^-2*x^-1").syllables) == w("y^3*x^-2*y^-1")
+
+    def test_hom_into_target_without_pow(self):
+        pres = Presentation.parse(AB, ["x*y*x^-1*y^-1"])
+        hom = GroupHom(pres, {"x": AddZ(2), "y": AddZ(-3)}, identity=AddZ(0))
+        assert hom.evaluate(w("x^3*y^-2*x^-1")) == AddZ(10)
+        assert hom.verify().passed
 
 
 class TestParsing:
