@@ -45,7 +45,7 @@ class B2TElement:
     def __post_init__(self):
         if self.eps not in (0, 1):
             raise ValueError(f"eps must be 0 or 1, got {self.eps}")
-        if self.w.alphabet != XY:
+        if self.w.alphabet is not XY and self.w.alphabet != XY:
             raise ValueError("free part must be a word over {x, y}")
 
     def is_identity(self) -> bool:
@@ -112,27 +112,20 @@ GENERATORS = (GEN_X, GEN_Y, GEN_A, GEN_B, SIGMA)
 # Images of the letters of B2T_ALPHABET; B is the full twist [x, y^-1].
 B2T_IMAGES = {"x": GEN_X, "y": GEN_Y, "a": GEN_A, "b": GEN_B, "s": SIGMA, "B": FULL_TWIST}
 
-# Conjugation by s, letter by letter:
-#   s x s^-1 = B x^-1 a,   s y s^-1 = B y^-1 b,   a and b are fixed.
-# Each entry maps a letter to (free part, a-correction, b-correction).
-SIGMA_CONJ = {
-    ("x", 1): (B_WORD * X_WORD.inverse(), 1, 0),
-    ("x", -1): (X_WORD * B_INV_WORD, -1, 0),
-    ("y", 1): (B_WORD * Y_WORD.inverse(), 0, 1),
-    ("y", -1): (Y_WORD * B_INV_WORD, 0, -1),
-}
+# Conjugation by s: s x s^-1 = B x^-1 a and s y s^-1 = B y^-1 b, with a and b
+# central.  As B g^-1 = u g^-1 u^-1 for g = x, y and u = x y^-1, it sends a
+# free part w to u w* u^-1 a^i b^j, where w* negates each exponent of w and
+# i, j are the exponent sums of x and y in w.
+U_WORD = X_WORD * Y_WORD.inverse()
+U_INV_WORD = U_WORD.inverse()
 
 
 def conjugate_by_sigma(w: FreeWord) -> tuple[FreeWord, int, int]:
     """Return (w', dm, dn) with s * w * s^-1 = w' * a^dm * b^dn."""
-    result = XY.identity()
-    dm = dn = 0
-    for letter in w.letters():
-        img, da, db = SIGMA_CONJ[letter]
-        result = result * img
-        dm += da
-        dn += db
-    return result, dm, dn
+    flipped = FreeWord(XY, tuple((name, -k) for name, k in w.syllables))
+    dm = sum(k for name, k in w.syllables if name == "x")
+    dn = sum(k for name, k in w.syllables if name == "y")
+    return U_WORD * flipped * U_INV_WORD, dm, dn
 
 
 def from_word(w: FreeWord) -> B2TElement:

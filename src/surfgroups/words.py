@@ -7,12 +7,16 @@ every word is freely reduced by construction.  All values are immutable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 GENERATOR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 DEFAULT_REWRITE_BUDGET = 10**6
+
+# Largest free word, in syllables, that a product may build.
+DEFAULT_NF_BUDGET = 10**6
 
 
 class WordError(ValueError):
@@ -32,6 +36,10 @@ class WordParseError(WordError):
         super().__init__(f"{message}: {token!r} at column {column}")
         self.token = token
         self.column = column
+
+
+class NormalFormTooLarge(WordError):
+    """A product would exceed the normal-form size budget."""
 
 
 class RewriteBudgetExceeded(RuntimeError):
@@ -62,12 +70,16 @@ class Alphabet:
     def of(cls, *names: str) -> "Alphabet":
         return cls(tuple(Generator(n) for n in names))
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)
 
+    @cached_property
+    def _name_set(self) -> frozenset[str]:
+        return frozenset(self.names)
+
     def __contains__(self, name: str) -> bool:
-        return name in self.names
+        return name in self._name_set
 
     def identity(self) -> "FreeWord":
         return FreeWord(self, ())
@@ -112,11 +124,31 @@ class FreeWord:
         return not self.syllables
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise AlphabetMismatch(
                 f"cannot multiply words over {self.alphabet.names} and {other.alphabet.names}"
             )
-        return FreeWord(self.alphabet, reduce_syllables(self.syllables + other.syllables))
+        # Both factors are reduced, so only the seam where they meet can cancel.
+        left, right = self.syllables, other.syllables
+        i, j = len(left), 0
+        middle = ()
+        while i and j < len(right):
+            name, exp = left[i - 1]
+            if right[j][0] != name:
+                break
+            exp += right[j][1]
+            i -= 1
+            j += 1
+            if exp:
+                middle = ((name, exp),)
+                break
+        size = i + len(middle) + len(right) - j
+        if size > DEFAULT_NF_BUDGET:
+            raise NormalFormTooLarge(
+                f"normal form would have {size} syllables, over the budget of "
+                f"{DEFAULT_NF_BUDGET}"
+            )
+        return FreeWord(self.alphabet, left[:i] + middle + right[j:])
 
     def inverse(self) -> "FreeWord":
         return FreeWord(
@@ -267,6 +299,9 @@ class GroupHom:
         missing = [n for n in self.source.alphabet.names if n not in self.images]
         if missing:
             raise WordError(f"generators without images: {missing}")
+        stray = [n for n in self.images if n not in self.source.alphabet]
+        if stray:
+            raise WordError(f"images of names outside the alphabet: {stray}")
         if self.identity is None:
             raise WordError("target identity element is required")
 
@@ -294,42 +329,60 @@ def oracle_normal_form(
     w: FreeWord,
     max_steps: int = DEFAULT_REWRITE_BUDGET,
 ) -> FreeWord:
-    """Slow generic rewriting oracle: apply the leftmost applicable rule until
-    none applies, free-reducing between steps.  The caller is responsible for
-    supplying a terminating, confluent rule list; a step budget guards against
-    accidental non-termination.
+    """Slow generic rewriting oracle: apply the leftmost applicable rule (the
+    lowest rule index among those at that position) until none applies,
+    free-reducing between steps.  The caller is responsible for supplying a
+    terminating, confluent rule list; a step budget guards against accidental
+    non-termination.
     """
-    rule_list = [(tuple(r.lhs.letters()), tuple(r.rhs.letters())) for r in rules]
+    rule_list = [  # empty left-hand sides never apply
+        (list(r.lhs.letters()), list(r.rhs.letters())) for r in rules if r.lhs.syllables
+    ]
+    longest = max((len(lhs) for lhs, _ in rule_list), default=0)
     letters = list(w.letters())
     steps = 0
+    start = 0
     while True:
-        best = None  # (position, rule index)
-        for ri, (lhs, _) in enumerate(rule_list):
-            k = len(lhs)
-            if k == 0:
-                continue
-            for i in range(len(letters) - k + 1):
-                if tuple(letters[i : i + k]) == lhs:
-                    if best is None or i < best[0]:
-                        best = (i, ri)
-                    break
-        if best is None:
+        found = next(
+            (
+                (i, lhs, rhs)
+                for i in range(start, len(letters))
+                for lhs, rhs in rule_list
+                if letters[i : i + len(lhs)] == lhs
+            ),
+            None,
+        )
+        if found is None:
             break
-        i, ri = best
-        lhs, rhs = rule_list[ri]
-        letters[i : i + len(lhs)] = list(rhs)
-        letters = _free_reduce_letters(letters)
+        i, lhs, rhs = found
+        # No window inside the surviving prefix matched before, so none does now.
+        letters, kept = _free_reduce_letters(letters[:i], rhs, letters[i + len(lhs) :])
+        start = max(0, kept - (longest - 1))
         steps += 1
         if steps > max_steps:
             raise RewriteBudgetExceeded(f"exceeded {max_steps} rewrite steps")
     return w.alphabet.word(letters)
 
 
-def _free_reduce_letters(letters: list[tuple[str, int]]) -> list[tuple[str, int]]:
-    stack: list[tuple[str, int]] = []
-    for let in letters:
+def _free_reduce_letters(
+    head: list[tuple[str, int]], middle: list[tuple[str, int]], tail: list[tuple[str, int]]
+) -> tuple[list[tuple[str, int]], int]:
+    """Freely reduce head + middle + tail, where head and tail are reduced,
+    extending head in place.  Also return how long a prefix of head survives
+    unchanged."""
+    stack = head
+    kept = len(head)
+    for let in middle:
         if stack and stack[-1][0] == let[0] and stack[-1][1] == -let[1]:
             stack.pop()
         else:
             stack.append(let)
-    return stack
+        kept = min(kept, len(stack))
+    # tail is reduced, so it cancels only where it meets the stack.
+    j = 0
+    while stack and j < len(tail) and stack[-1][0] == tail[j][0] and stack[-1][1] == -tail[j][1]:
+        stack.pop()
+        j += 1
+    kept = min(kept, len(stack))
+    stack.extend(tail[j:])
+    return stack, kept

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 
 import pytest
 
@@ -31,3 +33,20 @@ def random_b2t(rng: random.Random, word_len: int = 16, central_bound: int = 8) -
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the running test if the enclosed block takes more than `seconds`
+    of wall time (SIGALRM), instead of letting it hang the suite."""
+
+    def fire(signum, frame):
+        pytest.fail(f"deadline of {seconds} s exceeded", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -7,6 +7,8 @@ from jsonschema import Draft202012Validator
 import surfgroups
 from surfgroups.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, build_parser, main
 
+from conftest import deadline
+
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 ENVELOPE = json.loads((SCHEMA_DIR / "envelope.schema.json").read_text())
 COMMANDS = json.loads((SCHEMA_DIR / "commands.schema.json").read_text())
@@ -247,10 +249,45 @@ class TestVerification:
         assert code == EXIT_DOMAIN
         assert message in env["diagnostics"][0]
 
+    def test_hom_check_rejects_stray_image(self, capsys, tmp_path):
+        spec = {
+            "alphabet": ["al", "be"],
+            "relators": ["al*be*al*be^-1"],
+            "target": "klein",
+            "images": {"al": "al", "be": "be", "zz": "al^5"},
+        }
+        path = tmp_path / "hom.json"
+        path.write_text(json.dumps(spec))
+        code, env = run_json(capsys, "hom-check", "--file", str(path))
+        assert code == EXIT_DOMAIN
+        assert "outside the alphabet" in env["diagnostics"][0]
+        assert "zz" in env["diagnostics"][0]
+
     def test_human_output(self, capsys):
         code, out = run(capsys, "phi1", "--word", "be^2")
         assert code == EXIT_OK
         assert "b" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code, needle",
+    [
+        (
+            ["nf", "--group", "b2t", "--word", "s*x^1000000000"],
+            EXIT_OK,
+            '"free_part": "x*y^-1*x^-1000000000*y*x^-1"',
+        ),
+        (["nf", "--group", "b2t", "--word", "s^1000000000"], EXIT_DOMAIN, "budget of 1000000"),
+        (["nf", "--group", "p2t", "--word", "B^1000000000"], EXIT_DOMAIN, "budget of 1000000"),
+        (["nf", "--group", "b2t", "--word", "s*B^99999999"], EXIT_DOMAIN, "budget of 1000000"),
+        (["phi1", "--word", "be^1000000000"], EXIT_OK, '"word": "b^500000000"'),
+    ],
+)
+def test_short_inputs_finish_in_time(capsys, argv, code, needle):
+    with deadline(2.0):
+        got, env = run_json(capsys, *argv)
+    assert got == code
+    assert needle in json.dumps(env)
 
 
 def test_public_surface_is_pinned():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from surfgroups.torusbraid import (
     B2T_ALPHABET,
@@ -119,6 +119,40 @@ class TestCenter:
             assert z * u == u * z
 
 
+def letterwise_conjugate(w):
+    """The letter-by-letter loop that conjugate_by_sigma replaced."""
+    x, y = XY.gen("x"), XY.gen("y")
+    table = {
+        ("x", 1): (B_WORD * x.inverse(), 1, 0),
+        ("x", -1): (x * B_WORD.inverse(), -1, 0),
+        ("y", 1): (B_WORD * y.inverse(), 0, 1),
+        ("y", -1): (y * B_WORD.inverse(), 0, -1),
+    }
+    result = XY.identity()
+    dm = dn = 0
+    for letter in w.letters():
+        img, da, db = table[letter]
+        result = result * img
+        dm += da
+        dn += db
+    return result, dm, dn
+
+
+@st.composite
+def conjugation_inputs(draw):
+    """Words with exponents up to +-1000, some of the form u * v * u^-1 so
+    that the conjugated pieces cancel heavily."""
+    syllables = st.lists(
+        st.tuples(
+            st.sampled_from(["x", "y"]),
+            st.one_of(st.integers(-3, 3), st.integers(-1000, 1000)),
+        ),
+        max_size=8,
+    )
+    u, v = XY.word(draw(syllables)), XY.word(draw(syllables))
+    return u * v * u.inverse() if draw(st.booleans()) else u
+
+
 class TestSigmaConjugation:
     def test_is_automorphism_of_pure_slice(self, rng):
         for _ in range(500):
@@ -140,6 +174,17 @@ class TestSigmaConjugation:
         for gen in (GEN_X, GEN_Y):
             word, dm, dn = conjugate_by_sigma(gen.w)
             assert SIGMA * gen * SIGMA_INV == B2TElement(word, dm, dn, 0)
+
+    @given(conjugation_inputs())
+    @example(XY.parse("x^1000"))
+    @example(XY.parse("y^-1000"))
+    @example(XY.parse("x^1000*y^-1000*x^-1000*y^1000"))
+    @example(XY.parse("x^-999*y*x^999"))
+    @example(XY.identity())
+    @example(B_WORD)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_letterwise_loop(self, w):
+        assert conjugate_by_sigma(w) == letterwise_conjugate(w)
 
 
 class TestPresentations:

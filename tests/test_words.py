@@ -2,18 +2,29 @@ import random
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from surfgroups.klein import KLEIN_ALPHABET, KLEIN_PRESENTATION, KLEIN_IDENTITY, from_word
+from surfgroups.klein import (
+    KLEIN_ALPHABET,
+    KLEIN_IDENTITY,
+    KLEIN_PRESENTATION,
+    from_word,
+    klein_rewrite_rules,
+)
 from surfgroups.torusbraid import IDENTITY as B2T_IDENTITY
+from surfgroups.torusbraid import P2T_ALPHABET, p2t_central_rules
 from surfgroups.words import (
+    DEFAULT_NF_BUDGET,
     Alphabet,
     AlphabetMismatch,
     FreeWord,
     GroupHom,
+    NormalFormTooLarge,
     Presentation,
+    RewriteBudgetExceeded,
     RewriteRule,
     UnknownGenerator,
+    WordError,
     WordParseError,
     fold,
     oracle_normal_form,
@@ -53,6 +64,40 @@ class TestReduce:
 syllable_lists = st.lists(
     st.tuples(st.sampled_from(["x", "y"]), st.integers(-4, 4)), max_size=20
 )
+
+
+big_exponents = st.one_of(st.integers(-3, 3), st.integers(-1000, 1000))
+big_syllable_lists = st.lists(
+    st.tuples(st.sampled_from(["x", "y"]), big_exponents), max_size=12
+)
+
+
+@st.composite
+def seam_pairs(draw):
+    """(u, v) where v opens with the inverse of a tail of u, so u * v cancels
+    that tail and then possibly merges one more syllable."""
+    u = AB.word(draw(big_syllable_lists))
+    cut = draw(st.integers(0, len(u.syllables)))
+    return u, AB.word(list(u.inverse().syllables[:cut]) + draw(big_syllable_lists))
+
+
+class TestSeamProduct:
+    @given(seam_pairs())
+    @example((w("x^1000*y^-1000"), w("y^1000*x^-999")))
+    @example((w("x*y^2*x^-1"), w("x*y^-2*x^-1")))
+    @example((w("x^1000*y^-1000"), w("y^1000*x^-1000")))
+    @example((AB.identity(), w("y^-1000")))
+    @example((w("x^-1000"), AB.identity()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reducing_the_concatenation(self, pair):
+        u, v = pair
+        assert (u * v).syllables == reduce_syllables(u.syllables + v.syllables)
+
+    def test_normal_form_budget(self):
+        comm = w("x*y^-1*x^-1*y")
+        with pytest.raises(NormalFormTooLarge, match=f"budget of {DEFAULT_NF_BUDGET}"):
+            comm ** (DEFAULT_NF_BUDGET // 4 + 1)
+        assert len((comm ** (DEFAULT_NF_BUDGET // 4)).syllables) == DEFAULT_NF_BUDGET
 
 
 class TestGroupLaws:
@@ -200,6 +245,15 @@ class TestHom:
         assert not report.passed
         assert report.failures() == ["al*be*al*be^-1"]
 
+    def test_stray_image_rejected(self):
+        alpha = from_word(KLEIN_ALPHABET.parse("al"))
+        with pytest.raises(WordError, match="zz"):
+            GroupHom(
+                KLEIN_PRESENTATION,
+                {"al": alpha, "be": alpha, "zz": alpha},
+                identity=KLEIN_IDENTITY,
+            )
+
     def test_missing_image_rejected(self):
         with pytest.raises(Exception):
             GroupHom(KLEIN_PRESENTATION, {"al": KLEIN_IDENTITY}, identity=KLEIN_IDENTITY)
@@ -253,3 +307,119 @@ class TestPresentation:
         other = Alphabet.of("a", "b")
         with pytest.raises(AlphabetMismatch):
             Presentation(AB, (other.parse("a"),))
+
+
+def rescan_oracle(rules, w, max_steps):
+    """The full-rescan loop that oracle_normal_form replaced: after every
+    rewrite, search the whole word again for the leftmost match.  Returns the
+    normal form and the number of rewrite steps taken."""
+    rule_list = [(tuple(r.lhs.letters()), tuple(r.rhs.letters())) for r in rules]
+    letters = list(w.letters())
+    steps = 0
+    while True:
+        best = None  # (position, rule index)
+        for ri, (lhs, _) in enumerate(rule_list):
+            k = len(lhs)
+            if k == 0:
+                continue
+            for i in range(len(letters) - k + 1):
+                if tuple(letters[i : i + k]) == lhs:
+                    if best is None or i < best[0]:
+                        best = (i, ri)
+                    break
+        if best is None:
+            break
+        i, ri = best
+        lhs, rhs = rule_list[ri]
+        letters[i : i + len(lhs)] = list(rhs)
+        stack = []
+        for let in letters:
+            if stack and stack[-1][0] == let[0] and stack[-1][1] == -let[1]:
+                stack.pop()
+            else:
+                stack.append(let)
+        letters = stack
+        steps += 1
+        if steps > max_steps:
+            raise RewriteBudgetExceeded(f"exceeded {max_steps} rewrite steps")
+    return w.alphabet.word(letters), steps
+
+
+short_syllables = st.tuples(st.sampled_from(["x", "y"]), st.sampled_from([-2, -1, 1, 2]))
+
+
+# Rule sets whose normal forms put one kind of letter first (Klein: al, p2t:
+# x and y) and another last (Klein: be, p2t: b).  A long first and last
+# syllable around a short core take few rewrites, but the core's letters
+# cancel deep into them.
+REWRITE_SYSTEMS = {
+    "klein": (klein_rewrite_rules(), KLEIN_ALPHABET, "al", "be", ["al", "be"]),
+    "p2t": (p2t_central_rules(), P2T_ALPHABET, "x", "b", ["x", "y", "a", "b"]),
+}
+
+
+@st.composite
+def rewrite_cases(draw):
+    system = draw(st.sampled_from(sorted(REWRITE_SYSTEMS)))
+    rules, alphabet, first, last, names = REWRITE_SYSTEMS[system]
+    core = draw(
+        st.lists(st.tuples(st.sampled_from(names), st.integers(-3, 3)), max_size=6)
+    )
+    raw = [(first, draw(big_exponents))] + core + [(last, draw(big_exponents))]
+    return rules, alphabet.word(raw)
+
+
+class TestResumableOracle:
+    @given(rewrite_cases())
+    @example((klein_rewrite_rules(), KLEIN_ALPHABET.parse("al^1000*be*al*be^-1*al^-1000")))
+    @example((klein_rewrite_rules(), KLEIN_ALPHABET.parse("al^-1000*be^2*al^-3*be^-1000")))
+    @example((p2t_central_rules(), P2T_ALPHABET.parse("x^1000*a*x^-1*b^-2*y*b^1000")))
+    @example((p2t_central_rules(), P2T_ALPHABET.parse("x^-1000*b*a^-1*x*y^2*a*b^-1000")))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_rescan(self, case):
+        rules, word = case
+        expected, steps = rescan_oracle(rules, word, max_steps=10**6)
+        assert oracle_normal_form(rules, word, max_steps=steps) == expected
+        if steps:
+            with pytest.raises(RewriteBudgetExceeded):
+                oracle_normal_form(rules, word, max_steps=steps - 1)
+
+    @given(
+        st.lists(
+            st.tuples(st.lists(short_syllables, max_size=3), st.lists(short_syllables, max_size=3)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.lists(short_syllables, max_size=6),
+    )
+    @example(  # a rewrite that cancels into the prefix it keeps
+        [([("x", 1)], [("x", -2), ("y", 1)]), ([("y", 1)], [("x", 4)]), ([("x", 1)], [])],
+        [("y", 2), ("x", -1)],
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_rescan_on_arbitrary_rules(self, raw_rules, raw_word):
+        # Arbitrary rules need not terminate: compare up to a small budget.
+        rules = [RewriteRule(AB.word(lhs), AB.word(rhs)) for lhs, rhs in raw_rules]
+        word = AB.word(raw_word)
+        try:
+            expected = rescan_oracle(rules, word, max_steps=50)[0]
+        except RewriteBudgetExceeded:
+            with pytest.raises(RewriteBudgetExceeded):
+                oracle_normal_form(rules, word, max_steps=50)
+        else:
+            assert oracle_normal_form(rules, word, max_steps=50) == expected
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            [RewriteRule(w("x"), w("x^2"))],
+            [RewriteRule(w("x*y"), w("y*x")), RewriteRule(w("y*x"), w("x*y"))],
+        ],
+    )
+    def test_budget_fires_at_the_same_step(self, rules):
+        for max_steps in (0, 1, 7, 50):
+            with pytest.raises(RewriteBudgetExceeded) as slow:
+                rescan_oracle(rules, w("y*x*y"), max_steps)
+            with pytest.raises(RewriteBudgetExceeded) as fast:
+                oracle_normal_form(rules, w("y*x*y"), max_steps)
+            assert str(fast.value) == str(slow.value)
