@@ -1,8 +1,10 @@
 """Smith normal form over the integers and the abelianised-fiber quotients
 used for the braid-group cohomological dimension computations.
 
-Matrices are plain lists of rows of Python ints (arbitrary precision), so the
-classical pivot blow-up is harmless.
+Matrices are plain lists of rows of Python ints (arbitrary precision).  That
+does not make entry growth harmless: the elimination takes no step to keep
+entries small, so the transforms U and V can reach tens of thousands of bits
+on a 20 x 20 matrix with entries in +-50, and every step pays for them.
 """
 from __future__ import annotations
 
@@ -72,6 +74,26 @@ def _validate(mat: Sequence[Sequence[int]]) -> Matrix:
     return A
 
 
+def _unimodular(a: int, b: int) -> tuple[int, int, int, int]:
+    """(x, y, p, q) with x*q - y*p = 1, x*a + y*b = g = +-gcd(a, b) and
+    p*a + q*b = 0.  When a divides b it is (1, 0, -b//a, 1), which leaves a in
+    place: a step against an entry the pivot divides never moves the pivot."""
+    if a and b % a == 0:
+        return 1, 0, -b // a, 1
+    g, r, x, s, y, u = a, b, 1, 0, 0, 1
+    while r:
+        k = g // r
+        g, r, x, s, y, u = r, g - k * r, s, x - k * s, u, y - k * u
+    return x, y, -b // g, a // g
+
+
+def _mix_rows(M: Matrix, s: int, d: int, x: int, y: int, p: int, q: int) -> None:
+    """Replace rows s and d of M by x*row_s + y*row_d and p*row_s + q*row_d."""
+    rs, rd = M[s], M[d]
+    M[s] = [x * u + y * v for u, v in zip(rs, rd)]
+    M[d] = [p * u + q * v for u, v in zip(rs, rd)]
+
+
 def smith_normal_form(mat: Sequence[Sequence[int]], transforms: bool = False) -> SNFResult:
     """Diagonalise by unimodular row/column operations.  The diagonal entries
     are nonnegative and form a divisibility chain; when requested, U and V
@@ -80,88 +102,41 @@ def smith_normal_form(mat: Sequence[Sequence[int]], transforms: bool = False) ->
     A = _validate(mat)
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    U = _identity(rows)
-    V = _identity(cols)
+    # V is held transposed, so that a column step is a row step on it too.
+    U, V = (_identity(rows), _identity(cols)) if transforms else (None, None)
+    row_mats = (A, U) if transforms else (A,)
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        for j in range(cols):
-            A[dst][j] += q * A[src][j]
-        for j in range(rows):
-            U[dst][j] += q * U[src][j]
-
-    def add_col(src, dst, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # Pick the nonzero entry of smallest magnitude as pivot.
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-        # Clear the pivot row and column by Euclidean steps.
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
+    for t in range(min(rows, cols)):
+        while True:
+            for i in range(t + 1, rows):  # row steps clear column t
                 if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    add_row(t, i, -q)
-                    if A[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
+                    x, y, p, q = _unimodular(A[t][t], A[i][t])
+                    for M in row_mats:
+                        _mix_rows(M, t, i, x, y, p, q)
+            for j in range(t + 1, cols):  # column steps clear row t
                 if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    add_col(t, j, -q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        # Enforce divisibility of the remaining block by the pivot.
-        offender = None
-        d = A[t][t]
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if A[i][j] % d:
-                    offender = i
-                    break
-            if offender is not None:
+                    x, y, p, q = _unimodular(A[t][t], A[t][j])
+                    for row in A:
+                        row[t], row[j] = x * row[t] + y * row[j], p * row[t] + q * row[j]
+                    if transforms:
+                        _mix_rows(V, t, j, x, y, p, q)
+            if any([A[i][t] for i in range(t + 1, rows)]):
+                continue  # a column step lowered the pivot and refilled column t
+            # Add to row t a row with an entry the pivot does not divide (0
+            # divides only 0); the column steps then lower the pivot again.
+            d = A[t][t]
+            bad = [i for i in range(t + 1, rows) for x in A[i][t + 1 :] if (x % d if d else x)]
+            if not bad:
                 break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        if d < 0:
-            negate_row(t)
-        t += 1
+            for M in row_mats:
+                M[t] = [u + v for u, v in zip(M[t], M[bad[0]])]
+        if A[t][t] < 0:
+            for M in row_mats:
+                M[t] = [-u for u in M[t]]
 
     diagonal = tuple(A[i][i] for i in range(min(rows, cols)))
     if transforms:
-        return SNFResult(diagonal, tuple(map(tuple, U)), tuple(map(tuple, V)))
+        return SNFResult(diagonal, tuple(map(tuple, U)), tuple(zip(*V)))
     return SNFResult(diagonal)
 
 
@@ -177,9 +152,16 @@ NONORIENTABLE_RANK_NOTE = (
 )
 
 
+# The fiber quotients are Smith normal forms of (g + k)-column matrices; this
+# bound keeps one call well under a second.
+MAX_NAB_GK = 100
+
+
 def _check_gk(g: int, k: int) -> None:
     if g < 1 or k < 1:
         raise ValueError(f"requires g >= 1 and k >= 1, got g={g}, k={k}")
+    if g > MAX_NAB_GK or k > MAX_NAB_GK:
+        raise ValueError(f"requires g <= {MAX_NAB_GK} and k <= {MAX_NAB_GK}, got g={g}, k={k}")
 
 
 def _kill_basis_vectors(rank: int, first: int) -> Matrix:

@@ -23,6 +23,10 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 
+# verify-presentations --fuzz checks one phi1 product per sample, about 0.2 ms
+# each; the bound keeps a run within a few seconds.
+MAX_FUZZ_SAMPLES = 10_000
+
 
 class CliDomainError(Exception):
     pass
@@ -172,6 +176,7 @@ def _parse_points(text: str) -> list[embeddings.KleinPoint]:
     points = []
     if not text.strip():
         return points
+    column = 1
     for chunk in text.split(";"):
         try:
             u_str, v_str = chunk.split(",")
@@ -179,8 +184,9 @@ def _parse_points(text: str) -> list[embeddings.KleinPoint]:
         except (ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, embeddings.OutOfDomain):
                 raise
-            raise WordParseError("invalid point", chunk, text.index(chunk) + 1) from exc
+            raise WordParseError("invalid point", chunk, column) from exc
         points.append(point)
+        column += len(chunk) + 1
     return points
 
 
@@ -249,6 +255,8 @@ def cmd_dims(args) -> dict:
 
 
 def cmd_verify_presentations(args) -> dict:
+    if not 0 <= args.fuzz <= MAX_FUZZ_SAMPLES:
+        raise CliDomainError(f"--fuzz must be between 0 and {MAX_FUZZ_SAMPLES}, got {args.fuzz}")
     reports = {
         name: _hom_report_json(rep)
         for name, rep in torusbraid.verify_all_presentations().items()

@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -12,6 +12,8 @@ from surfgroups.abelian import (
     smith_normal_form,
 )
 
+from conftest import deadline
+
 
 def minor_gcd_invariants(mat):
     """Independent oracle: the k-th determinantal divisor d_k is the gcd of
@@ -19,24 +21,12 @@ def minor_gcd_invariants(mat):
     Computed by exhaustive minor enumeration (feasible for tiny matrices).
     """
     rows, cols = len(mat), len(mat[0]) if mat else 0
-
-    def det(sub):
-        n = len(sub)
-        if n == 1:
-            return sub[0][0]
-        total = 0
-        for j in range(n):
-            sign = -1 if j % 2 else 1
-            minor = [row[:j] + row[j + 1 :] for row in sub[1:]]
-            total += sign * sub[0][j] * det(minor)
-        return total
-
     divisors = []
     for k in range(1, min(rows, cols) + 1):
         g = 0
         for ri in combinations(range(rows), k):
             for ci in combinations(range(cols), k):
-                g = gcd(g, det([[mat[i][j] for j in ci] for i in ri]))
+                g = gcd(g, _cofactor_det([[mat[i][j] for j in ci] for i in ri]))
         divisors.append(g)
     factors = []
     prev = 1
@@ -70,6 +60,7 @@ class TestSmithNormalForm:
             ]
             mat = [row[: len(mat[0])] + [0] * (len(mat[0]) - len(row)) for row in mat]
             diag = smith_normal_form(mat).diagonal
+            assert smith_normal_form(mat, transforms=True).diagonal == diag
             assert all(d >= 0 for d in diag)
             nonzero = [d for d in diag if d]
             for a, b in zip(nonzero, nonzero[1:]):
@@ -82,14 +73,39 @@ class TestSmithNormalForm:
             r, c = rng.randint(1, 4), rng.randint(1, 4)
             mat = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
             result = smith_normal_form(mat, transforms=True)
-            U, V = [list(row) for row in result.U], [list(row) for row in result.V]
-            assert abs(_det(U)) == 1
-            assert abs(_det(V)) == 1
-            product = _mul(_mul(U, mat), V)
-            for i in range(r):
-                for j in range(c):
-                    expected = result.diagonal[i] if i == j else 0
-                    assert product[i][j] == expected
+            assert result.diagonal == smith_normal_form(mat).diagonal
+            _check_transforms(mat, result)
+
+    @pytest.mark.parametrize(
+        "mat, diagonal",
+        [
+            ([[0, 0], [0, 1]], (1, 0)),
+            ([[0, 1], [0, 0]], (1, 0)),
+            ([[0, 0, 0], [0, 0, 5], [0, 3, 0]], (1, 15, 0)),
+            # Loops forever if a step against an entry the pivot already
+            # divides uses the extended gcd instead of plain elimination.
+            ([[-1, 0, -1], [0, 0, 1], [-1, 1, 0]], (1, 1, 1)),
+        ],
+    )
+    def test_edge_cases(self, mat, diagonal):
+        with deadline(2):
+            assert smith_normal_form(mat).diagonal == diagonal
+            result = smith_normal_form(mat, transforms=True)
+        assert result.diagonal == diagonal
+        _check_transforms(mat, result)
+
+    @pytest.mark.parametrize("n, bound", [(12, 50), (20, 5)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_large_random_matrices_finish_in_time(self, n, bound, seed):
+        rng = random.Random(1000 * n + seed)
+        mat = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        with deadline(2):
+            result = smith_normal_form(mat, transforms=True)
+            assert smith_normal_form(mat).diagonal == result.diagonal
+        _check_transforms(mat, result)
+        det = _det(mat)
+        if det:
+            assert prod(result.diagonal) == abs(det)
 
     def test_invariant_under_unimodular_scrambling(self, rng):
         for _ in range(20):
@@ -183,8 +199,35 @@ class TestFiberQuotients:
         with pytest.raises(ValueError):
             nab_quotient_nonorientable(1, 0)
 
+    def test_size_bound(self):
+        assert nab_quotient_orientable(100, 100) == AbelianGroup(200, ())
+        assert nab_quotient_nonorientable(100, 100) == AbelianGroup(99, (2,))
+        with pytest.raises(ValueError, match="g <= 100"):
+            nab_quotient_orientable(101, 1)
+        with pytest.raises(ValueError, match="k <= 100"):
+            nab_quotient_nonorientable(1, 101)
 
-def _det(mat):
+
+def test_bareiss_det_matches_cofactor_expansion(rng):
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        mat = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+        assert _det(mat) == _cofactor_det(mat)
+
+
+def _check_transforms(mat, result):
+    """U * mat * V is the diagonal matrix of result, and U, V are unimodular."""
+    U, V = [list(row) for row in result.U], [list(row) for row in result.V]
+    assert abs(_det(U)) == 1
+    assert abs(_det(V)) == 1
+    product = _mul(_mul(U, mat), V)
+    for i, row in enumerate(product):
+        for j, entry in enumerate(row):
+            assert entry == (result.diagonal[i] if i == j else 0)
+
+
+def _cofactor_det(mat):
+    """Determinant by cofactor expansion along the first row: O(n!) time."""
     n = len(mat)
     if n == 1:
         return mat[0][0]
@@ -192,8 +235,27 @@ def _det(mat):
     for j in range(n):
         sign = -1 if j % 2 else 1
         minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        total += sign * mat[0][j] * _det(minor)
+        total += sign * mat[0][j] * _cofactor_det(minor)
     return total
+
+
+def _det(mat):
+    """Determinant by fraction-free (Bareiss) elimination: O(n^3) exact
+    divisions, each intermediate entry being a minor of mat."""
+    M = [list(row) for row in mat]
+    n, sign, prev = len(M), 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            below = [i for i in range(k + 1, n) if M[i][k]]
+            if not below:
+                return 0
+            M[k], M[below[0]] = M[below[0]], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1] if n else 1
 
 
 def _mul(A, B):

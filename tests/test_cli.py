@@ -112,6 +112,12 @@ class TestEmbeddingCommands:
         code = main(["lift", "--points", "3/4,0"])
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("points", ["1/4,0;1/4", "1/4,0;"])
+    def test_lift_parse_error_names_column_of_chunk(self, capsys, points):
+        code, env = run_json(capsys, "lift", "--points", points)
+        assert code == EXIT_PARSE
+        assert "at column 7" in env["diagnostics"][0]
+
 
 class TestAlgebraCommands:
     def test_snf(self, capsys, tmp_path):
@@ -281,6 +287,10 @@ class TestVerification:
         (["nf", "--group", "p2t", "--word", "B^1000000000"], EXIT_DOMAIN, "budget of 1000000"),
         (["nf", "--group", "b2t", "--word", "s*B^99999999"], EXIT_DOMAIN, "budget of 1000000"),
         (["phi1", "--word", "be^1000000000"], EXIT_OK, '"word": "b^500000000"'),
+        (["verify-presentations", "--fuzz", "100000000"], EXIT_DOMAIN, "between 0 and 10000"),
+        (["verify-presentations", "--fuzz", "-5"], EXIT_DOMAIN, "between 0 and 10000"),
+        (["nab", "--surface", "nonorientable", "-g", "500", "-k", "500"], EXIT_DOMAIN, "g <= 100"),
+        (["nab", "--surface", "orientable", "-g", "1", "-k", "101"], EXIT_DOMAIN, "k <= 100"),
     ],
 )
 def test_short_inputs_finish_in_time(capsys, argv, code, needle):
