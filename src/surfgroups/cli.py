@@ -180,6 +180,9 @@ def _parse_points(text: str) -> list[embeddings.KleinPoint]:
     for chunk in text.split(";"):
         try:
             u_str, v_str = chunk.split(",")
+            if "e" in chunk.lower():
+                # Fraction expands exponent notation eagerly: '1e9999999' would hang.
+                raise ValueError("exponent notation is not accepted")
             point = embeddings.KleinPoint(Fraction(u_str.strip()), Fraction(v_str.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, embeddings.OutOfDomain):
@@ -321,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true", help="include the composition table")
 
     p = add("lift", cmd_lift, "lift a point configuration through the double cover")
-    p.add_argument("--points", required=True, help="semicolon-separated 'u,v' rational pairs")
+    p.add_argument(
+        "--points", required=True,
+        help="semicolon-separated 'u,v' rational pairs, as fractions or decimals without exponent",
+    )
 
     p = add("snf", cmd_snf, "Smith normal form of an integer matrix from a JSON file")
     p.add_argument("--matrix", required=True)

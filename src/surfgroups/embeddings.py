@@ -80,7 +80,13 @@ class BallReport:
 
 def certify_injectivity_ball(radius: int) -> BallReport:
     """Enumerate all al^r be^s with |r|, |s| <= radius and certify that their
-    images are pairwise distinct by canonical-form hashing."""
+    images are pairwise distinct by canonical-form hashing.
+
+    Each row r is walked with one product per element: it starts from
+    phi1(al^r be^-radius) and steps by right-multiplying with phi1(be).  This
+    is exact: phi1(al^r be^(s+1)) = A^r B^(s+1) = phi1(al^r be^s) B, where A
+    and B are the images of al and be, and normal forms are unique, so the
+    hashed keys are those of phi1 evaluated element by element."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if radius > DEFAULT_BALL_BOUND:
@@ -88,13 +94,15 @@ def certify_injectivity_ball(radius: int) -> BallReport:
     seen: dict = {}
     collisions = []
     for r in range(-radius, radius + 1):
+        img = phi1(KleinElement(r, -radius))
         for s in range(-radius, radius + 1):
-            img = phi1(KleinElement(r, s))
             key = (img.w.syllables, img.m, img.n, img.eps)
             if key in seen:
                 collisions.append((seen[key], (r, s)))
             else:
                 seen[key] = (r, s)
+            if s < radius:
+                img = img * PHI1_IMAGE_BETA
     return BallReport(radius, len(seen), tuple(collisions))
 
 

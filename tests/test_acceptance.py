@@ -20,7 +20,7 @@ from surfgroups import (
     verify_all_presentations,
 )
 from surfgroups.dims import SurfaceSpec
-from surfgroups.embeddings import GEN_B, KleinPoint, MAT_I, deck, verify_phi1
+from surfgroups.embeddings import DEFAULT_BALL_BOUND, GEN_B, KleinPoint, MAT_I, deck, verify_phi1
 from surfgroups.klein import E1, MCG_K, klein_rewrite_rules, mcg_compose
 from surfgroups.words import oracle_normal_form
 
@@ -59,10 +59,10 @@ def test_criterion_2_embedding_certificate():
 
 def test_criterion_3_injectivity_at_desk_scale():
     start = time.perf_counter()
-    ball = certify_injectivity_ball(32)
+    ball = certify_injectivity_ball(DEFAULT_BALL_BOUND)
     elapsed = time.perf_counter() - start
-    ok = ball.count == 4225 and not ball.collisions and elapsed < 5.0
-    report(3, f"injectivity ball radius 32 ({elapsed:.2f}s)", ok)
+    ok = ball.count == 16641 and not ball.collisions and elapsed < 5.0
+    report(3, f"injectivity ball radius {DEFAULT_BALL_BOUND} ({elapsed:.2f}s)", ok)
 
 
 def test_criterion_4_mcg_calculus():

@@ -112,6 +112,29 @@ class TestEmbeddingCommands:
         code = main(["lift", "--points", "3/4,0"])
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize(
+        "points, data",
+        [
+            (
+                "1/4,0;1/3,1/2",
+                {
+                    "input": [["1/4", "0"], ["1/3", "1/2"]],
+                    "lifted": [["1/4", "0"], ["1/3", "1/2"], ["3/4", "0"], ["5/6", "1/2"]],
+                    "count": 4,
+                },
+            ),
+            ("0.25,0", {"input": [["1/4", "0"]], "lifted": [["1/4", "0"], ["3/4", "0"]], "count": 2}),
+        ],
+    )
+    def test_lift_accepts_fractions_and_decimals(self, capsys, points, data):
+        code, env = run_json(capsys, "lift", "--points", points)
+        assert code == EXIT_OK
+        assert env["data"] == data
+
+    @pytest.mark.parametrize("points", [".5,0", "-1/4,0"])
+    def test_lift_out_of_domain_forms_exit_domain(self, points):
+        assert main(["lift", f"--points={points}"]) == EXIT_DOMAIN
+
     @pytest.mark.parametrize("points", ["1/4,0;1/4", "1/4,0;"])
     def test_lift_parse_error_names_column_of_chunk(self, capsys, points):
         code, env = run_json(capsys, "lift", "--points", points)
@@ -291,6 +314,9 @@ class TestVerification:
         (["verify-presentations", "--fuzz", "-5"], EXIT_DOMAIN, "between 0 and 10000"),
         (["nab", "--surface", "nonorientable", "-g", "500", "-k", "500"], EXIT_DOMAIN, "g <= 100"),
         (["nab", "--surface", "orientable", "-g", "1", "-k", "101"], EXIT_DOMAIN, "k <= 100"),
+        (["lift", "--points", "1e9999999,0"], EXIT_PARSE, "at column 1"),
+        (["lift", "--points", "1/4,0;1e99999999,0"], EXIT_PARSE, "at column 7"),
+        (["lift", "--points", "0,1E9"], EXIT_PARSE, "at column 1"),
     ],
 )
 def test_short_inputs_finish_in_time(capsys, argv, code, needle):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from surfgroups import embeddings
 from surfgroups.embeddings import (
     DEFAULT_BALL_BOUND,
     MAT_I,
@@ -24,7 +25,7 @@ from surfgroups.embeddings import (
     verify_phi1,
 )
 from surfgroups.klein import ALPHA, BETA, E1, E2, E3, E4, MCG_K, KleinElement, KleinEndo
-from surfgroups.torusbraid import GEN_B, B2TElement, XY
+from surfgroups.torusbraid import GEN_B, IDENTITY, B2TElement, XY
 
 from conftest import random_klein
 
@@ -74,6 +75,22 @@ class TestClosedForm:
                 assert phi1_closed_form(r, s) == phi1(KleinElement(r, s))
 
 
+def per_element_ball(radius):
+    """Slow oracle for the ball certificate: phi1 evaluated afresh for every
+    element, in the same order and with the same key."""
+    seen = {}
+    collisions = []
+    for r in range(-radius, radius + 1):
+        for s in range(-radius, radius + 1):
+            img = phi1(KleinElement(r, s))
+            key = (img.w.syllables, img.m, img.n, img.eps)
+            if key in seen:
+                collisions.append((seen[key], (r, s)))
+            else:
+                seen[key] = (r, s)
+    return len(seen), tuple(collisions)
+
+
 class TestInjectivityBall:
     def test_radius_zero(self):
         report = certify_injectivity_ball(0)
@@ -87,6 +104,42 @@ class TestInjectivityBall:
         report = certify_injectivity_ball(12)
         assert report.count == 625
         assert report.passed
+
+    @pytest.mark.parametrize("radius", range(13))
+    def test_matches_per_element_oracle(self, radius):
+        report = certify_injectivity_ball(radius)
+        assert (report.count, report.collisions) == per_element_ball(radius)
+
+    @pytest.mark.parametrize(
+        "name, image",
+        [
+            ("PHI1_IMAGE_ALPHA", IDENTITY),
+            ("PHI1_IMAGE_ALPHA", GEN_B),
+            ("PHI1_IMAGE_BETA", IDENTITY),
+        ],
+    )
+    def test_matches_oracle_on_non_injective_images(self, monkeypatch, name, image):
+        monkeypatch.setattr(embeddings, name, image)
+        for radius in (1, 5, 12):
+            report = certify_injectivity_ball(radius)
+            expected = per_element_ball(radius)
+            assert expected[1]
+            assert (report.count, report.collisions) == expected
+
+    @pytest.mark.parametrize("radius", [5, 32, DEFAULT_BALL_BOUND])
+    def test_one_product_per_element(self, monkeypatch, radius):
+        calls = 0
+        mul = B2TElement.__mul__
+
+        def counting_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(B2TElement, "__mul__", counting_mul)
+        assert certify_injectivity_ball(radius).passed
+        side = 2 * radius + 1
+        assert calls <= side * side + 16 * side
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
