@@ -68,6 +68,17 @@ def previous(pr: int) -> Path | None:
     return max(found)[1] if found else None
 
 
+def print_ratios(bench: dict, base: dict) -> None:
+    for name, new in bench["workloads"].items():
+        old = base["workloads"].get(name, {})
+        for kind in ("end_to_end", "per_layer"):
+            for metric, value in new[kind].items():
+                was = old.get(kind, {}).get(metric)
+                if was:
+                    print(f"{name:<11} {metric:<32} {value / was:8.3f}  ({was:.4g} -> {value:.4g})")
+    print(f"tier-1 wall_s {bench['tier1']['wall_s'] / base['tier1']['wall_s']:8.3f}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
@@ -86,18 +97,9 @@ def main() -> int:
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out.name}")
     base_path = previous(args.pr)
-    if base_path is None:
-        return 0
-    base = json.loads(base_path.read_text())
-    print(f"ratios to {base_path.name} (new / old)")
-    for name, new in bench["workloads"].items():
-        old = base["workloads"].get(name, {})
-        for kind in ("end_to_end", "per_layer"):
-            for metric, value in new[kind].items():
-                was = old.get(kind, {}).get(metric)
-                if was:
-                    print(f"{name:<11} {metric:<32} {value / was:8.3f}  ({was:.4g} -> {value:.4g})")
-    print(f"tier-1 wall_s {bench['tier1']['wall_s'] / base['tier1']['wall_s']:8.3f}")
+    if base_path is not None:
+        print(f"ratios to {base_path.name} (new / old)")
+        print_ratios(bench, json.loads(base_path.read_text()))
     return 0
 
 
