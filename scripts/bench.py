@@ -84,8 +84,12 @@ def main() -> int:
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
     args = parser.parse_args()
     git = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+    # Uncommitted edits under src/ mean the numbers are not those of the commit.
+    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                            capture_output=True, text=True)
     bench = {
         "commit": git.stdout.strip() or "unknown",
+        "src_dirty": bool(status.stdout.strip()),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "seeds": SEEDS,

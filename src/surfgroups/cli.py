@@ -243,6 +243,8 @@ def cmd_dims(args) -> dict:
         if args.genus is None:
             raise CliDomainError("--surface orientable/nonorientable requires -g")
         surface = dims.SurfaceSpec(args.surface, args.genus, args.punctures)
+    elif args.genus is not None:
+        raise CliDomainError(f"--surface {args.surface} fixes the genus; drop -g")
     else:
         surface = dims.SurfaceSpec.named(args.surface, args.punctures)
     answer = dims.dim_query(surface, args.group, args.quantity)
@@ -264,7 +266,7 @@ def cmd_verify_presentations(args) -> dict:
         name: _hom_report_json(rep)
         for name, rep in torusbraid.verify_all_presentations().items()
     }
-    reports["embedding"] = _hom_report_json(embeddings.verify_phi1())
+    reports["embedding"] = _hom_report_json(embeddings.PHI1_HOM.verify())
     data = {"reports": reports}
     if args.fuzz:
         import random

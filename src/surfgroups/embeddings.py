@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .klein import KLEIN_PRESENTATION, MCG_K, KleinElement, KleinEndo
 from .torusbraid import GEN_A, GEN_B, GEN_X, GEN_Y, IDENTITY, SIGMA_INV, XY, B2TElement
-from .words import GroupHom, HomReport
+from .words import GroupHom
 
 DEFAULT_BALL_BOUND = 64
 
@@ -61,10 +61,6 @@ def phi1_closed_form(r: int, s: int) -> B2TElement:
     # x^(2r) * y * B^-1 reduces to x^(2r+1) * y * x^-1.
     word = XY.word([("x", 2 * r + 1), ("y", 1), ("x", -1)])
     return B2TElement(word, -r, (s - 1) // 2, 1)
-
-
-def verify_phi1() -> HomReport:
-    return PHI1_HOM.verify()
 
 
 @dataclass(frozen=True)

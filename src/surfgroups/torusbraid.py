@@ -157,113 +157,66 @@ def p2t_central_rules() -> list[RewriteRule]:
     return rules
 
 
-def b2t_presentation() -> Presentation:
-    """The six-generator presentation of the full group, as relators."""
-    al = B2T_ALPHABET
-    x, y = al.gen("x"), al.gen("y")
-    a, b, s, B = al.gen("a"), al.gen("b"), al.gen("s"), al.gen("B")
-    relators = [
-        s * s * B.inverse(),                                   # (a) s^2 = B
-        commutator(x, y.inverse()) * B.inverse(),              # (a) [x, y^-1] = B
-        commutator(a, b.inverse()),                            # (b)
-        commutator(a, x), commutator(a, y),                    # (c)
-        commutator(b, x), commutator(b, y),                    # (d)
-        s * x * s.inverse() * (B * x.inverse() * a).inverse(), # (e)
-        s * y * s.inverse() * (B * y.inverse() * b).inverse(), # (e)
-        s * a * s.inverse() * a.inverse(),                     # (f)
-        s * b * s.inverse() * b.inverse(),                     # (f)
-    ]
-    return Presentation(al, tuple(relators))
-
-
-def verify_presentation_b2t() -> HomReport:
-    """Check relations (a)-(f) of the six-generator presentation in the engine."""
-    return GroupHom(b2t_presentation(), B2T_IMAGES, identity=IDENTITY).verify()
-
-
-# Images of the five surface generators rho_{i,j} in the engine:
-# rho_{1,1} -> x, rho_{1,2} -> y, rho_{2,1} -> B x^-1 a, rho_{2,2} -> B y^-1 b.
-RHO_IMAGES = {
-    "B": FULL_TWIST,
-    "r11": GEN_X,
-    "r12": GEN_Y,
-    "r21": FULL_TWIST * GEN_X.inverse() * GEN_A,
-    "r22": FULL_TWIST * GEN_Y.inverse() * GEN_B,
+# The shipped presentations, one row per report: the images of the
+# generators, as words over B2T_ALPHABET, and the relators in the reduced form
+# the report prints.  Labels (a)-(f) follow Goncalves-Guaschi.
+PRESENTATIONS = {
+    # The five-generator surface presentation of the pure group, then two derived relations.
+    "surface_generators": (
+        {"B": "B", "r11": "x", "r12": "y", "r21": "B*x^-1*a", "r22": "B*y^-1*b"},
+        [
+            "r11*r12^-1*r11^-1*r12*B^-1",                    # (a)
+            "r21*r22^-1*r21^-1*r22*B^-1",                    # (a)
+            "r21*r11*r21^-1*B*r11^-1*B^-1",                  # (b)
+            "r21*r12*r21^-1*B*r11^-1*B^-1*r11*r12^-1*B^-1",  # (c)
+            "r22*r11*r22^-1*B*r11^-1",                       # (d)
+            "r22*r12*r22^-1*B*r12^-1*B^-1",                  # (e)
+            "r21*B*r21^-1*B*r11^-1*B^-1*r11*B^-1",           # derived
+            "r22*B*r22^-1*B*r12^-1*B^-1*r12*B^-1",           # derived
+        ],
+    ),
+    # The intermediate change of variables: d11 = r11, t11 = r12,
+    # d21 = B^-1 r21 -> x^-1 a, t21 = B^-1 r22 -> y^-1 b.
+    "delta_tau": (
+        {"B": "B", "d11": "x", "t11": "y", "d21": "x^-1*a", "t21": "y^-1*b"},
+        [
+            "d11*t11^-1*d11^-1*t11*B^-1",             # (a)
+            "B*d21*t21^-1*B^-1*d21^-1*t21*B^-1",      # (a)
+            "d21*d11*d21^-1*d11^-1",                  # (b)
+            "t21*t11*t21^-1*t11^-1",                  # (b)
+            "d21*t11*d21^-1*d11^-1*B^-1*d11*t11^-1",  # (c)
+            "t21*d11*t21^-1*d11^-1*B",                # (d)
+        ],
+    ),
+    # The six-generator presentation of the full group.
+    "full_group": (
+        {"x": "x", "y": "y", "a": "a", "b": "b", "s": "s", "B": "B"},
+        [
+            "s^2*B^-1",                  # (a) s^2 = B
+            "x*y^-1*x^-1*y*B^-1",        # (a) [x, y^-1] = B
+            "a*b^-1*a^-1*b",             # (b)
+            "a*x*a^-1*x^-1",             # (c)
+            "a*y*a^-1*y^-1",             # (c)
+            "b*x*b^-1*x^-1",             # (d)
+            "b*y*b^-1*y^-1",             # (d)
+            "s*x*s^-1*a^-1*x*B^-1",      # (e)
+            "s*y*s^-1*b^-1*y*B^-1",      # (e)
+            "s*a*s^-1*a^-1",             # (f)
+            "s*b*s^-1*b^-1",             # (f)
+        ],
+    ),
 }
 
-
-def rho_presentation() -> Presentation:
-    al = Alphabet.of("B", "r11", "r12", "r21", "r22")
-    B = al.gen("B")
-    r11, r12, r21, r22 = al.gen("r11"), al.gen("r12"), al.gen("r21"), al.gen("r22")
-    relators = [
-        commutator(r11, r12.inverse()) * B.inverse(),                     # (a)
-        commutator(r21, r22.inverse()) * B.inverse(),                     # (a)
-        r21 * r11 * r21.inverse() * (B * r11 * B.inverse()).inverse(),    # (b)
-        r21 * r12 * r21.inverse()                                         # (c)
-        * (B * r12 * commutator(r11.inverse(), B)).inverse(),
-        r22 * r11 * r22.inverse() * (r11 * B.inverse()).inverse(),        # (d)
-        r22 * r12 * r22.inverse() * (B * r12 * B.inverse()).inverse(),    # (e)
-    ]
-    return Presentation(al, tuple(relators))
-
-
-def useful_relators() -> list[FreeWord]:
-    """Two consequences of the surface presentation, checked independently:
-    r21 B r21^-1 = B r11^-1 B r11 B^-1 and r22 B r22^-1 = B r12^-1 B r12 B^-1.
-    """
-    al = rho_presentation().alphabet
-    B = al.gen("B")
-    out = []
-    for top, side in (("r21", "r11"), ("r22", "r12")):
-        t, s = al.gen(top), al.gen(side)
-        rhs = B * s.inverse() * B * s * B.inverse()
-        out.append(t * B * t.inverse() * rhs.inverse())
-    return out
-
-
-def verify_presentation_rho() -> HomReport:
-    """Check the five-generator surface presentation of the pure group,
-    plus the two derived relations, in the engine."""
-    pres = rho_presentation()
-    pres = Presentation(pres.alphabet, pres.relators + tuple(useful_relators()))
-    return GroupHom(pres, RHO_IMAGES, identity=IDENTITY).verify()
-
-
-# The intermediate change of variables: d11 = r11, t11 = r12,
-# d21 = B^-1 r21 -> x^-1 a, t21 = B^-1 r22 -> y^-1 b.
-DELTA_TAU_IMAGES = {
-    "B": FULL_TWIST,
-    "d11": GEN_X,
-    "t11": GEN_Y,
-    "d21": GEN_X.inverse() * GEN_A,
-    "t21": GEN_Y.inverse() * GEN_B,
+PRESENTATION_HOMS = {
+    name: GroupHom(
+        Presentation.parse(Alphabet.of(*images), relators),
+        {gen: from_word(B2T_ALPHABET.parse(word)) for gen, word in images.items()},
+        identity=IDENTITY,
+    )
+    for name, (images, relators) in PRESENTATIONS.items()
 }
-
-
-def delta_tau_presentation() -> Presentation:
-    al = Alphabet.of("B", "d11", "t11", "d21", "t21")
-    B = al.gen("B")
-    d11, t11, d21, t21 = al.gen("d11"), al.gen("t11"), al.gen("d21"), al.gen("t21")
-    relators = [
-        commutator(d11, t11.inverse()) * B.inverse(),                       # (a)
-        commutator(B * d21, t21.inverse() * B.inverse()) * B.inverse(),     # (a)
-        commutator(d21, d11),                                               # (b)
-        commutator(t21, t11),                                               # (b)
-        d21 * t11 * d21.inverse()                                           # (c)
-        * (t11 * d11.inverse() * B * d11).inverse(),
-        t21 * d11 * t21.inverse() * (B.inverse() * d11).inverse(),          # (d)
-    ]
-    return Presentation(al, tuple(relators))
-
-
-def verify_presentation_delta_tau() -> HomReport:
-    return GroupHom(delta_tau_presentation(), DELTA_TAU_IMAGES, identity=IDENTITY).verify()
 
 
 def verify_all_presentations() -> dict[str, HomReport]:
-    return {
-        "surface_generators": verify_presentation_rho(),
-        "delta_tau": verify_presentation_delta_tau(),
-        "full_group": verify_presentation_b2t(),
-    }
+    """Check every relator of every shipped presentation in the engine."""
+    return {name: hom.verify() for name, hom in PRESENTATION_HOMS.items()}

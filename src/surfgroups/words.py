@@ -235,7 +235,11 @@ def parse_word(text: str, alphabet: Alphabet) -> FreeWord:
         m = re.fullmatch(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?", tok)
         if not m:
             raise WordParseError("invalid token", tok, pos)
-        name, exp = m.group(1), int(m.group(2)) if m.group(2) else 1
+        name = m.group(1)
+        try:
+            exp = int(m.group(2)) if m.group(2) else 1
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise WordParseError("exponent has too many digits", f"{tok[:20]}...", pos) from exc
         if name not in alphabet:
             raise WordParseError(
                 f"unknown generator (alphabet is {', '.join(alphabet.names)})", name, pos
@@ -293,7 +297,7 @@ class GroupHom:
 
     source: Presentation
     images: dict  # generator name -> target element
-    identity: object = None
+    identity: object
 
     def __post_init__(self):
         missing = [n for n in self.source.alphabet.names if n not in self.images]
@@ -302,8 +306,6 @@ class GroupHom:
         stray = [n for n in self.images if n not in self.source.alphabet]
         if stray:
             raise WordError(f"images of names outside the alphabet: {stray}")
-        if self.identity is None:
-            raise WordError("target identity element is required")
 
     def evaluate(self, w: FreeWord):
         """Multiplicative extension of the generator images."""

@@ -20,7 +20,7 @@ from surfgroups import (
     verify_all_presentations,
 )
 from surfgroups.dims import SurfaceSpec
-from surfgroups.embeddings import DEFAULT_BALL_BOUND, GEN_B, KleinPoint, MAT_I, deck, verify_phi1
+from surfgroups.embeddings import DEFAULT_BALL_BOUND, GEN_B, PHI1_HOM, KleinPoint, MAT_I, deck
 from surfgroups.klein import E1, MCG_K, klein_rewrite_rules, mcg_compose
 from surfgroups.words import oracle_normal_form
 
@@ -48,7 +48,7 @@ def test_criterion_1_presentation_verification():
 
 
 def test_criterion_2_embedding_certificate():
-    ok = verify_phi1().passed
+    ok = PHI1_HOM.verify().passed
     ok = ok and phi1(KleinElement(0, 2)) == GEN_B
     for r in range(-20, 21):
         for s in range(-20, 21):

@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ from surfgroups.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, build_parser, main
 
 from conftest import deadline
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "schemas"
 ENVELOPE = json.loads((SCHEMA_DIR / "envelope.schema.json").read_text())
 COMMANDS = json.loads((SCHEMA_DIR / "commands.schema.json").read_text())
 
@@ -25,6 +27,18 @@ def run_json(capsys, *argv):
     envelope = json.loads(out)
     Draft202012Validator(ENVELOPE).validate(envelope)
     return code, envelope
+
+
+# More digits than the interpreter converts to int by default (4300).
+LONG_DIGITS = "9" * 5000
+
+# phi1 on the Klein bottle group, as a hom-check spec.
+HOM_SPEC = {
+    "alphabet": ["al", "be"],
+    "relators": ["al*be*al*be^-1"],
+    "target": "b2t",
+    "images": {"al": "a^-1*x^2", "be": "y*s^-1"},
+}
 
 
 def validate_data(data, command_def):
@@ -231,14 +245,8 @@ class TestVerification:
         assert env["data"]["fuzz"] == {"samples": 50, "seed": 7, "failures": 0}
 
     def test_hom_check(self, capsys, tmp_path):
-        spec = {
-            "alphabet": ["al", "be"],
-            "relators": ["al*be*al*be^-1"],
-            "target": "b2t",
-            "images": {"al": "a^-1*x^2", "be": "y*s^-1"},
-        }
         path = tmp_path / "hom.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(HOM_SPEC))
         code, env = run_json(capsys, "hom-check", "--file", str(path))
         assert code == EXIT_OK
         assert env["data"]["report"]["passed"]
@@ -317,6 +325,14 @@ class TestVerification:
         (["lift", "--points", "1e9999999,0"], EXIT_PARSE, "at column 1"),
         (["lift", "--points", "1/4,0;1e99999999,0"], EXIT_PARSE, "at column 7"),
         (["lift", "--points", "0,1E9"], EXIT_PARSE, "at column 1"),
+        (["nf", "--group", "klein", "--word", "al^" + LONG_DIGITS], EXIT_PARSE, "at column 1"),
+        (["nf", "--group", "b2t", "--word", "x*x^" + LONG_DIGITS], EXIT_PARSE, "at column 3"),
+        (
+            ["dims", "--surface", "sphere", "-g", "3", "-k", "5", "--group", "braid",
+             "--quantity", "vcd"],
+            EXIT_DOMAIN,
+            "fixes the genus",
+        ),
     ],
 )
 def test_short_inputs_finish_in_time(capsys, argv, code, needle):
@@ -324,6 +340,41 @@ def test_short_inputs_finish_in_time(capsys, argv, code, needle):
         got, env = run_json(capsys, *argv)
     assert got == code
     assert needle in json.dumps(env)
+
+
+def test_over_long_exponent_in_relator_is_parse_error(capsys, tmp_path):
+    spec = dict(HOM_SPEC, relators=["al*be*al*be^" + LONG_DIGITS])
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(spec))
+    with deadline(2.0):
+        code, env = run_json(capsys, "hom-check", "--file", str(path))
+    assert code == EXIT_PARSE
+    assert "at column 10" in env["diagnostics"][0]
+
+
+def readme_commands():
+    """The `surfgroups` lines of the sh block under "Command line" in README.md."""
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("surfgroups ")]
+
+
+# The schema definition of each command's data, where it is not the command's name.
+DATA_SCHEMAS = {"mul": "nf", "inv": "nf", "verify-presentations": "verifyPresentations"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_run(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mat.json").write_text("[[2, 4], [6, 8]]")
+    (tmp_path / "hom.json").write_text(json.dumps(HOM_SPEC))
+    assert run(capsys, *argv)[0] == EXIT_OK
+    code, env = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    if argv[0] == "hom-check":
+        validate_data(env["data"]["report"], "homReport")
+    else:
+        validate_data(env["data"], DATA_SCHEMAS.get(argv[0], argv[0]))
 
 
 def test_public_surface_is_pinned():

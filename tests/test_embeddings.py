@@ -6,6 +6,7 @@ from surfgroups import embeddings
 from surfgroups.embeddings import (
     DEFAULT_BALL_BOUND,
     MAT_I,
+    PHI1_HOM,
     BallReport,
     DuplicatePoint,
     IntMat2,
@@ -22,7 +23,6 @@ from surfgroups.embeddings import (
     lift_matrices,
     phi1,
     phi1_closed_form,
-    verify_phi1,
 )
 from surfgroups.klein import ALPHA, BETA, E1, E2, E3, E4, MCG_K, KleinElement, KleinEndo
 from surfgroups.torusbraid import GEN_B, IDENTITY, B2TElement, XY
@@ -34,7 +34,7 @@ F = Fraction
 
 class TestPhi1:
     def test_relator_check_passes(self):
-        assert verify_phi1().passed
+        assert PHI1_HOM.verify().passed
 
     def test_beta_squared_maps_to_b(self):
         assert phi1(KleinElement(0, 2)) == GEN_B

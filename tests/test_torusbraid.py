@@ -18,13 +18,12 @@ from surfgroups.torusbraid import (
     conjugate_by_sigma,
     from_word,
     p2t,
+    PRESENTATIONS,
+    PRESENTATION_HOMS,
     p2t_central_rules,
     verify_all_presentations,
-    verify_presentation_b2t,
-    verify_presentation_delta_tau,
-    verify_presentation_rho,
 )
-from surfgroups.words import oracle_normal_form
+from surfgroups.words import Alphabet, Presentation, commutator, oracle_normal_form
 
 from conftest import random_b2t, random_word
 
@@ -187,26 +186,141 @@ class TestSigmaConjugation:
         assert conjugate_by_sigma(w) == letterwise_conjugate(w)
 
 
+def oracle_b2t_presentation():
+    """The six-generator presentation of the full group, as in the paper."""
+    al = B2T_ALPHABET
+    x, y = al.gen("x"), al.gen("y")
+    a, b, s, B = al.gen("a"), al.gen("b"), al.gen("s"), al.gen("B")
+    relators = [
+        s * s * B.inverse(),                                   # (a) s^2 = B
+        commutator(x, y.inverse()) * B.inverse(),              # (a) [x, y^-1] = B
+        commutator(a, b.inverse()),                            # (b)
+        commutator(a, x), commutator(a, y),                    # (c)
+        commutator(b, x), commutator(b, y),                    # (d)
+        s * x * s.inverse() * (B * x.inverse() * a).inverse(), # (e)
+        s * y * s.inverse() * (B * y.inverse() * b).inverse(), # (e)
+        s * a * s.inverse() * a.inverse(),                     # (f)
+        s * b * s.inverse() * b.inverse(),                     # (f)
+    ]
+    return Presentation(al, tuple(relators))
+
+
+ORACLE_B2T_IMAGES = {
+    "x": GEN_X, "y": GEN_Y, "a": GEN_A, "b": GEN_B, "s": SIGMA, "B": FULL_TWIST,
+}
+
+# rho_{1,1} -> x, rho_{1,2} -> y, rho_{2,1} -> B x^-1 a, rho_{2,2} -> B y^-1 b.
+ORACLE_RHO_IMAGES = {
+    "B": FULL_TWIST,
+    "r11": GEN_X,
+    "r12": GEN_Y,
+    "r21": FULL_TWIST * GEN_X.inverse() * GEN_A,
+    "r22": FULL_TWIST * GEN_Y.inverse() * GEN_B,
+}
+
+
+def oracle_rho_presentation():
+    al = Alphabet.of("B", "r11", "r12", "r21", "r22")
+    B = al.gen("B")
+    r11, r12, r21, r22 = al.gen("r11"), al.gen("r12"), al.gen("r21"), al.gen("r22")
+    relators = [
+        commutator(r11, r12.inverse()) * B.inverse(),                     # (a)
+        commutator(r21, r22.inverse()) * B.inverse(),                     # (a)
+        r21 * r11 * r21.inverse() * (B * r11 * B.inverse()).inverse(),    # (b)
+        r21 * r12 * r21.inverse()                                         # (c)
+        * (B * r12 * commutator(r11.inverse(), B)).inverse(),
+        r22 * r11 * r22.inverse() * (r11 * B.inverse()).inverse(),        # (d)
+        r22 * r12 * r22.inverse() * (B * r12 * B.inverse()).inverse(),    # (e)
+    ]
+    return Presentation(al, tuple(relators))
+
+
+def oracle_useful_relators():
+    """r21 B r21^-1 = B r11^-1 B r11 B^-1 and r22 B r22^-1 = B r12^-1 B r12 B^-1."""
+    al = oracle_rho_presentation().alphabet
+    B = al.gen("B")
+    out = []
+    for top, side in (("r21", "r11"), ("r22", "r12")):
+        t, s = al.gen(top), al.gen(side)
+        rhs = B * s.inverse() * B * s * B.inverse()
+        out.append(t * B * t.inverse() * rhs.inverse())
+    return out
+
+
+# d11 = r11, t11 = r12, d21 = B^-1 r21 -> x^-1 a, t21 = B^-1 r22 -> y^-1 b.
+ORACLE_DELTA_TAU_IMAGES = {
+    "B": FULL_TWIST,
+    "d11": GEN_X,
+    "t11": GEN_Y,
+    "d21": GEN_X.inverse() * GEN_A,
+    "t21": GEN_Y.inverse() * GEN_B,
+}
+
+
+def oracle_delta_tau_presentation():
+    al = Alphabet.of("B", "d11", "t11", "d21", "t21")
+    B = al.gen("B")
+    d11, t11, d21, t21 = al.gen("d11"), al.gen("t11"), al.gen("d21"), al.gen("t21")
+    relators = [
+        commutator(d11, t11.inverse()) * B.inverse(),                       # (a)
+        commutator(B * d21, t21.inverse() * B.inverse()) * B.inverse(),     # (a)
+        commutator(d21, d11),                                               # (b)
+        commutator(t21, t11),                                               # (b)
+        d21 * t11 * d21.inverse()                                           # (c)
+        * (t11 * d11.inverse() * B * d11).inverse(),
+        t21 * d11 * t21.inverse() * (B.inverse() * d11).inverse(),          # (d)
+    ]
+    return Presentation(al, tuple(relators))
+
+
+def oracle_presentations():
+    """The shipped presentations built from commutators and products, as in
+    the paper: report name -> (presentation, generator images)."""
+    rho = oracle_rho_presentation()
+    return {
+        "surface_generators": (
+            Presentation(rho.alphabet, rho.relators + tuple(oracle_useful_relators())),
+            ORACLE_RHO_IMAGES,
+        ),
+        "delta_tau": (oracle_delta_tau_presentation(), ORACLE_DELTA_TAU_IMAGES),
+        "full_group": (oracle_b2t_presentation(), ORACLE_B2T_IMAGES),
+    }
+
+
 class TestPresentations:
     def test_full_group_relations(self):
-        report = verify_presentation_b2t()
+        report = verify_all_presentations()["full_group"]
         assert report.passed, report.failures()
 
     def test_surface_generator_relations_and_useful_relations(self):
-        report = verify_presentation_rho()
+        report = verify_all_presentations()["surface_generators"]
         assert report.passed, report.failures()
         # Five presentation relations (one split into two relators) plus the
         # two derived relations.
         assert len(report.results) == 8
 
     def test_intermediate_relations(self):
-        report = verify_presentation_delta_tau()
+        report = verify_all_presentations()["delta_tau"]
         assert report.passed, report.failures()
 
     def test_all_reports(self):
         reports = verify_all_presentations()
         assert set(reports) == {"surface_generators", "delta_tau", "full_group"}
+        assert list(reports) == ["surface_generators", "delta_tau", "full_group"]
         assert all(rep.passed for rep in reports.values())
+
+    @pytest.mark.parametrize("name", ["surface_generators", "delta_tau", "full_group"])
+    def test_table_matches_oracle(self, name):
+        presentation, images = oracle_presentations()[name]
+        hom = PRESENTATION_HOMS[name]
+        assert hom.source.alphabet == presentation.alphabet
+        assert hom.source.relators == presentation.relators
+        assert hom.images == images
+
+    def test_relator_texts_are_printed_form(self):
+        for images, relators in PRESENTATIONS.values():
+            presentation = Presentation.parse(Alphabet.of(*images), relators)
+            assert [str(r) for r in presentation.relators] == relators
 
 
 class TestWordParsing:
