@@ -32,13 +32,21 @@ class CliDomainError(Exception):
     pass
 
 
+def _printed(e) -> str:
+    try:
+        return str(e)
+    except ValueError as exc:  # an exponent with more digits than str() converts
+        raise CliDomainError("the result has an exponent too long to print (more than "
+                             f"{sys.get_int_max_str_digits()} digits)") from exc
+
+
 def _klein_json(e: klein.KleinElement) -> dict:
-    return {"word": str(e), "r": e.r, "s": e.s}
+    return {"word": _printed(e), "r": e.r, "s": e.s}
 
 
 def _b2t_json(e: torusbraid.B2TElement) -> dict:
     return {
-        "word": str(e),
+        "word": _printed(e),
         "free_part": str(e.w),
         "m": e.m,
         "n": e.n,
@@ -417,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     except WordParseError as exc:
         _emit_error(str(exc), as_json)
         return EXIT_PARSE
-    except (CliDomainError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (CliDomainError, ValueError, OSError) as exc:
         _emit_error(str(exc), as_json)
         return EXIT_DOMAIN
     _emit(data, as_json)

@@ -1,5 +1,6 @@
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -350,6 +351,44 @@ def test_over_long_exponent_in_relator_is_parse_error(capsys, tmp_path):
         code, env = run_json(capsys, "hom-check", "--file", str(path))
     assert code == EXIT_PARSE
     assert "at column 10" in env["diagnostics"][0]
+
+
+# As many digits as the interpreter converts between int and str; twice this
+# number has one digit more.
+MAX_DIGITS = "9" * sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "--group", "klein", "--word", f"al^{MAX_DIGITS}*be*al^-{MAX_DIGITS}*be^-1"],
+        ["phi1", "--word", f"al^{MAX_DIGITS}"],
+    ],
+    ids=["nf", "phi1"],
+)
+def test_result_exponent_too_long_to_print(capsys, argv, as_json):
+    with deadline(2.0):
+        if as_json:
+            code, env = run_json(capsys, *argv)
+            (message,) = env["diagnostics"]
+        else:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            message = captured.err
+    assert code == EXIT_DOMAIN
+    assert "exponent too long to print" in message
+    assert f"more than {sys.get_int_max_str_digits()} digits" in message
+
+
+def test_internal_key_error_is_not_a_domain_error(monkeypatch):
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(surfgroups.cli, "cmd_mcgk", broken)
+    with pytest.raises(KeyError):
+        main(["mcgk"])
 
 
 def readme_commands():

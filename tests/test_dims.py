@@ -1,5 +1,6 @@
 import pytest
 
+import surfgroups.dims
 from surfgroups.dims import (
     GROUPS,
     QUANTITIES,
@@ -12,6 +13,86 @@ from surfgroups.dims import (
 
 def q(surface, group="braid", quantity="cd"):
     return dim_query(surface, group, quantity)
+
+
+# Every surface with genus and punctures up to 12.
+GRID = [SurfaceSpec("orientable", g, k) for g in range(0, 13) for k in range(0, 13)]
+GRID += [SurfaceSpec("nonorientable", g, k) for g in range(1, 13) for k in range(0, 13)]
+
+
+# The table as it stood with one branch per group and quantity, kept as an
+# oracle for the answers of `dim_query`.
+def _exact(q, grp, v):
+    return DimAnswer(q, grp, "exact", v)
+
+
+def _bound(q, grp, v):
+    return DimAnswer(q, grp, "bound", v)
+
+
+def _undef(q, grp, reason):
+    return DimAnswer(q, grp, "undefined", reason=reason)
+
+
+def _is_aspherical(s):
+    return (s.kind == "orientable" and s.genus >= 1) or (
+        s.kind == "nonorientable" and s.genus >= 2
+    )
+
+
+def _braid_query(s, grp, q):
+    k = s.punctures
+    if k < 1:
+        return _undef(q, grp, "requires k >= 1")
+    if _is_aspherical(s):
+        return _exact(q, grp, k + 1)
+    if q == "cd":
+        return _undef(
+            q, grp, "requires an aspherical surface (braid groups of the sphere "
+            "and projective plane have torsion, so cd is infinite)"
+        )
+    if s.kind == "orientable":  # sphere
+        if k >= 4:
+            return _exact(q, grp, k - 3)
+        return _undef(q, grp, "requires k >= 4")
+    if k >= 3:  # projective plane
+        return _exact(q, grp, k - 2)
+    return _undef(q, grp, "requires k >= 3")
+
+
+def _mcg_query(s, grp, q):
+    k = s.punctures
+    if q == "cd":
+        return _undef(
+            q, grp, "cd is not covered for mapping class groups (they contain torsion)"
+        )
+    if s.kind == "orientable":
+        g = s.genus
+        if 2 * g + k <= 2:
+            return _undef(q, grp, "requires 2g + k > 2")
+        if k == 0:
+            return _exact(q, grp, 4 * g - 5)
+        if g == 0:
+            return _exact(q, grp, k - 3)
+        return _exact(q, grp, 4 * g + k - 4)
+    g = s.genus
+    if g == 1:  # projective plane
+        if k >= 3:
+            return _exact(q, grp, k - 2)
+        return _undef(q, grp, "requires k >= 3")
+    if g == 2:  # Klein bottle
+        if k > 0:
+            return _exact(q, grp, k)
+        return _undef(q, grp, "requires k > 0")
+    if k > 0:
+        return _bound(q, grp, 4 * g + k - 8)
+    return _bound(q, grp, 4 * g - 9)
+
+
+def oracle_query(s, group, quantity):
+    if group in ("braid", "pure-braid"):
+        return _braid_query(s, group, quantity)
+    return _mcg_query(s, group, quantity)
 
 
 class TestBraidDimensions:
@@ -105,9 +186,18 @@ class TestTotalityAndAgreement:
                     else:
                         assert isinstance(ans.value, int)
 
+    def test_matches_the_branch_table(self):
+        for s in GRID:
+            for group in GROUPS:
+                for quantity in QUANTITIES:
+                    got, want = dim_query(s, group, quantity), oracle_query(s, group, quantity)
+                    assert (got.quantity, got.group, got.kind, got.value, got.reason) == (
+                        want.quantity, want.group, want.kind, want.value, want.reason
+                    ), s
+                    assert str(got) == str(want)
+
     def test_pure_full_agreement(self):
-        surfaces = [SurfaceSpec("orientable", 1, 3), SurfaceSpec("nonorientable", 4, 2)]
-        for s in surfaces:
+        for s in GRID:
             for quantity in QUANTITIES:
                 b, p = dim_query(s, "braid", quantity), dim_query(s, "pure-braid", quantity)
                 assert (b.kind, b.value, b.reason) == (p.kind, p.value, p.reason)
@@ -120,6 +210,38 @@ class TestConsistencySweep:
         report = consistency_sweep()
         assert report.passed, report.failures
         assert report.checks > 0
+
+    @pytest.mark.parametrize("max_g, max_k", [(3, 3), (4, 4), (5, 5)])
+    def test_sweep_passes_on_small_grids(self, max_g, max_k):
+        report = consistency_sweep(max_g, max_k)
+        assert report.passed, report.failures
+        assert report.checks > 0
+
+    @pytest.mark.parametrize(
+        "rule, mutated, shift",
+        [
+            # Klein-bottle MCG vcd k -> k + 5 exceeds the cover's 2k for k < 5.
+            ("cover rule", lambda s: (s.kind, s.genus) == ("nonorientable", 2), 5),
+            # Punctured orientable MCG vcd 4g + k - 4 -> 4g + k - 3 exceeds
+            # cd B_k + vcd MCG(0) = (k + 1) + (4g - 5).
+            ("Birman rule", lambda s: s.kind == "orientable" and s.genus > 0 and s.punctures > 0, 1),
+        ],
+        ids=["klein-mcg-plus-5", "punctured-orientable-mcg-plus-1"],
+    )
+    def test_sweep_catches_a_mutated_table(self, monkeypatch, rule, mutated, shift):
+        real = surfgroups.dims.dim_query
+
+        def mutant(s, group, quantity):
+            ans = real(s, group, quantity)
+            # Pure and full groups share one table row, so the mutant moves both.
+            if group in ("mcg", "pmcg") and quantity == "vcd" and ans.defined and mutated(s):
+                return DimAnswer(quantity, group, ans.kind, ans.value + shift)
+            return ans
+
+        monkeypatch.setattr(surfgroups.dims, "dim_query", mutant)
+        report = consistency_sweep(5, 5)
+        assert not report.passed
+        assert any(f.startswith(rule) for f in report.failures), report.failures
 
     def test_bound_arithmetic_instance(self):
         # g=3, k=1: 4g + k - 8 = 5 = (k + 1) + (4g - 9).
