@@ -20,8 +20,8 @@ GRID = [SurfaceSpec("orientable", g, k) for g in range(0, 13) for k in range(0, 
 GRID += [SurfaceSpec("nonorientable", g, k) for g in range(1, 13) for k in range(0, 13)]
 
 
-# The table as it stood with one branch per group and quantity, kept as an
-# oracle for the answers of `dim_query`.
+# A reference table with one branch per case and its own answer builders,
+# the oracle for every field of `dim_query`'s answers.
 def _exact(q, grp, v):
     return DimAnswer(q, grp, "exact", v)
 
