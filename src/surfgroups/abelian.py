@@ -5,6 +5,11 @@ Matrices are plain lists of rows of Python ints (arbitrary precision).  That
 does not make entry growth harmless: the elimination takes no step to keep
 entries small, so the transforms U and V can reach tens of thousands of bits
 on a 20 x 20 matrix with entries in +-50, and every step pays for them.
+
+When transforms are requested, U and V live in the one working matrix: each
+row of the input carries the matching row of the identity to its right (U),
+and the identity sits below the input (V).  A row step then updates U and a
+column step updates V, with no second bookkeeping.
 """
 from __future__ import annotations
 
@@ -102,41 +107,36 @@ def smith_normal_form(mat: Sequence[Sequence[int]], transforms: bool = False) ->
     A = _validate(mat)
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    # V is held transposed, so that a column step is a row step on it too.
-    U, V = (_identity(rows), _identity(cols)) if transforms else (None, None)
-    row_mats = (A, U) if transforms else (A,)
+    if transforms:  # U rides to the right of A's rows and V below them
+        A = [row + e for row, e in zip(A, _identity(rows))] + _identity(cols)
 
     for t in range(min(rows, cols)):
         while True:
             for i in range(t + 1, rows):  # row steps clear column t
                 if A[i][t]:
-                    x, y, p, q = _unimodular(A[t][t], A[i][t])
-                    for M in row_mats:
-                        _mix_rows(M, t, i, x, y, p, q)
+                    _mix_rows(A, t, i, *_unimodular(A[t][t], A[i][t]))
             for j in range(t + 1, cols):  # column steps clear row t
                 if A[t][j]:
                     x, y, p, q = _unimodular(A[t][t], A[t][j])
                     for row in A:
                         row[t], row[j] = x * row[t] + y * row[j], p * row[t] + q * row[j]
-                    if transforms:
-                        _mix_rows(V, t, j, x, y, p, q)
             if any([A[i][t] for i in range(t + 1, rows)]):
                 continue  # a column step lowered the pivot and refilled column t
             # Add to row t a row with an entry the pivot does not divide (0
             # divides only 0); the column steps then lower the pivot again.
             d = A[t][t]
-            bad = [i for i in range(t + 1, rows) for x in A[i][t + 1 :] if (x % d if d else x)]
+            bad = [i for i in range(t + 1, rows) for x in A[i][t + 1 : cols] if (x % d if d else x)]
             if not bad:
                 break
-            for M in row_mats:
-                M[t] = [u + v for u, v in zip(M[t], M[bad[0]])]
+            A[t] = [u + v for u, v in zip(A[t], A[bad[0]])]
         if A[t][t] < 0:
-            for M in row_mats:
-                M[t] = [-u for u in M[t]]
+            A[t] = [-u for u in A[t]]
 
     diagonal = tuple(A[i][i] for i in range(min(rows, cols)))
     if transforms:
-        return SNFResult(diagonal, tuple(map(tuple, U)), tuple(zip(*V)))
+        U = tuple(tuple(row[cols:]) for row in A[:rows])
+        V = tuple(map(tuple, A[rows:]))
+        return SNFResult(diagonal, U, V)
     return SNFResult(diagonal)
 
 

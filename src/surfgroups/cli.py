@@ -32,26 +32,16 @@ class CliDomainError(Exception):
     pass
 
 
-def _printed(e) -> str:
-    try:
-        return str(e)
-    except ValueError as exc:  # an exponent with more digits than str() converts
-        raise CliDomainError("the result has an exponent too long to print (more than "
-                             f"{sys.get_int_max_str_digits()} digits)") from exc
+# Command functions return result objects (elements, words, groups, answers,
+# fractions); `_render` turns them into text through str().
 
 
 def _klein_json(e: klein.KleinElement) -> dict:
-    return {"word": _printed(e), "r": e.r, "s": e.s}
+    return {"word": e, "r": e.r, "s": e.s}
 
 
 def _b2t_json(e: torusbraid.B2TElement) -> dict:
-    return {
-        "word": _printed(e),
-        "free_part": str(e.w),
-        "m": e.m,
-        "n": e.n,
-        "eps": e.eps,
-    }
+    return {"word": e, "free_part": e.w, "m": e.m, "n": e.n, "eps": e.eps}
 
 
 @dataclass(frozen=True)
@@ -164,7 +154,7 @@ def cmd_mcgk(args) -> dict:
     sl2 = {name: embeddings.induced_sl2(e) for name, e in endos.items()}
     data = {
         "automorphisms": {
-            name: {"al": str(e.image_alpha), "be": str(e.image_beta)}
+            name: {"al": e.image_alpha, "be": e.image_beta}
             for name, e in endos.items()
         },
         "sl2_images": {name: m.rows() for name, m in sl2.items()},
@@ -205,14 +195,14 @@ def cmd_lift(args) -> dict:
     points = _parse_points(args.points)
     lifted = embeddings.lift_configuration(points)
     return {
-        "input": [[str(p.u), str(p.v)] for p in points],
-        "lifted": [[str(p.u), str(p.v)] for p in lifted],
+        "input": [[p.u, p.v] for p in points],
+        "lifted": [[p.u, p.v] for p in lifted],
         "count": len(lifted),
     }
 
 
 def _group_json(group: abelian.AbelianGroup) -> dict:
-    return {"free_rank": group.free_rank, "torsion": list(group.torsion), "display": str(group)}
+    return {"free_rank": group.free_rank, "torsion": list(group.torsion), "display": group}
 
 
 def cmd_snf(args) -> dict:
@@ -247,7 +237,7 @@ def cmd_nab(args) -> dict:
 
 
 def cmd_dims(args) -> dict:
-    if args.surface in ("orientable", "nonorientable"):
+    if args.surface in (dims.ORIENTABLE, dims.NONORIENTABLE):
         if args.genus is None:
             raise CliDomainError("--surface orientable/nonorientable requires -g")
         surface = dims.SurfaceSpec(args.surface, args.genus, args.punctures)
@@ -263,7 +253,7 @@ def cmd_dims(args) -> dict:
         "kind": answer.kind,
         "value": answer.value,
         "reason": answer.reason,
-        "display": str(answer),
+        "display": answer,
     }
 
 
@@ -351,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("dims", cmd_dims, "cohomological dimension oracle")
     p.add_argument(
         "--surface",
-        choices=["orientable", "nonorientable", "sphere", "torus", "projective-plane", "klein-bottle"],
+        choices=[dims.ORIENTABLE, dims.NONORIENTABLE, *dims.NAMED_SURFACES],
         required=True,
     )
     p.add_argument("-g", "--genus", type=int)
@@ -366,35 +356,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_envelope(status: str, data: dict, diagnostics: list[str]) -> None:
+def _envelope(status: str, data: dict, diagnostics: list[str]) -> str:
     envelope = {"schema": SCHEMA_ID, "status": status, "data": data, "diagnostics": diagnostics}
-    print(json.dumps(envelope, indent=2, sort_keys=True))
+    return json.dumps(envelope, indent=2, sort_keys=True, default=str)
 
 
-def _emit(data: dict, as_json: bool) -> None:
-    if as_json:
-        _print_envelope("ok", data, [])
-    else:
-        _print_human(data)
+def _render(data: dict, as_json: bool) -> str:
+    """The whole output of a command that succeeded, as one string."""
+    try:
+        return _envelope("ok", data, []) if as_json else "\n".join(_human_lines(data))
+    except ValueError as exc:  # an integer with more digits than str() converts
+        raise CliDomainError("the result has an integer too long to print (more than "
+                             f"{sys.get_int_max_str_digits()} digits)") from exc
 
 
-def _print_human(data, indent: int = 0) -> None:
+def _human_lines(data, indent: int = 0):
     pad = "  " * indent
     if isinstance(data, dict):
         for key, value in data.items():
             if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                print(f"{pad}{key}:")
-                _print_human(value, indent + 1)
+                yield f"{pad}{key}:"
+                yield from _human_lines(value, indent + 1)
             else:
-                print(f"{pad}{key}: {_fmt_flat(value)}")
+                yield f"{pad}{key}: {_fmt_flat(value)}"
     elif isinstance(data, list):
         for item in data:
             if isinstance(item, (dict, list)):
-                _print_human(item, indent)
+                yield from _human_lines(item, indent)
             else:
-                print(f"{pad}- {item}")
+                yield f"{pad}- {item}"
     else:
-        print(f"{pad}{data}")
+        yield f"{pad}{data}"
 
 
 def _is_flat(value) -> bool:
@@ -411,7 +403,7 @@ def _fmt_flat(value) -> str:
 
 def _emit_error(message: str, as_json: bool) -> None:
     if as_json:
-        _print_envelope("error", {}, [message])
+        print(_envelope("error", {}, [message]))
     else:
         print(f"error: {message}", file=sys.stderr)
 
@@ -421,14 +413,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     as_json = getattr(args, "json", False)
     try:
-        data = args.func(args)
+        text = _render(args.func(args), as_json)
     except WordParseError as exc:
         _emit_error(str(exc), as_json)
         return EXIT_PARSE
     except (CliDomainError, ValueError, OSError) as exc:
         _emit_error(str(exc), as_json)
         return EXIT_DOMAIN
-    _emit(data, as_json)
+    print(text)
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 ORIENTABLE = "orientable"
 NONORIENTABLE = "nonorientable"
 
-_NAMED_SURFACES = {
+NAMED_SURFACES = {
     "sphere": (ORIENTABLE, 0),
     "torus": (ORIENTABLE, 1),
     "projective-plane": (NONORIENTABLE, 1),
@@ -42,7 +42,7 @@ class SurfaceSpec:
 
     @classmethod
     def named(cls, name: str, punctures: int = 0) -> "SurfaceSpec":
-        kind, genus = _NAMED_SURFACES[name]
+        kind, genus = NAMED_SURFACES[name]
         return cls(kind, genus, punctures)
 
 

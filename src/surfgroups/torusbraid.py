@@ -20,6 +20,7 @@ from .words import (
     RewriteRule,
     commutator,
     fold,
+    format_word,
     power,
 )
 
@@ -79,16 +80,8 @@ class B2TElement:
         return all(self.commutes_with(g) for g in GENERATORS)
 
     def __str__(self) -> str:
-        parts = []
-        if not self.w.is_identity():
-            parts.append(str(self.w))
-        if self.m:
-            parts.append("a" if self.m == 1 else f"a^{self.m}")
-        if self.n:
-            parts.append("b" if self.n == 1 else f"b^{self.n}")
-        if self.eps:
-            parts.append("s")
-        return "*".join(parts) if parts else "1"
+        central = (("a", self.m), ("b", self.n), ("s", self.eps))
+        return format_word(self.w.syllables + tuple(syl for syl in central if syl[1]))
 
 
 def p2t(w: FreeWord, m: int = 0, n: int = 0) -> B2TElement:

@@ -205,7 +205,8 @@ def format_word(syllables: Iterable[tuple[str, int]]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*(\^-?\d+)?|\*|1|\s+|.")
+# A term is a generator name (group 1) with optional exponent digits (group 2).
+_TOKEN = re.compile(rf"({GENERATOR_NAME.pattern})(?:\^(-?\d+))?|\*|1|\s+|.")
 
 
 def parse_word(text: str, alphabet: Alphabet) -> FreeWord:
@@ -232,12 +233,11 @@ def parse_word(text: str, alphabet: Alphabet) -> FreeWord:
             expect_term = False
             saw_any = True
             continue
-        m = re.fullmatch(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?", tok)
-        if not m:
+        name, digits = match.groups()
+        if name is None:
             raise WordParseError("invalid token", tok, pos)
-        name = m.group(1)
         try:
-            exp = int(m.group(2)) if m.group(2) else 1
+            exp = int(digits) if digits else 1
         except ValueError as exc:  # more digits than the interpreter converts
             raise WordParseError("exponent has too many digits", f"{tok[:20]}...", pos) from exc
         if name not in alphabet:

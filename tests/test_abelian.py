@@ -59,8 +59,9 @@ class TestSmithNormalForm:
                 for _ in range(rng.randint(1, 4))
             ]
             mat = [row[: len(mat[0])] + [0] * (len(mat[0]) - len(row)) for row in mat]
-            diag = smith_normal_form(mat).diagonal
-            assert smith_normal_form(mat, transforms=True).diagonal == diag
+            with deadline(2):
+                diag = smith_normal_form(mat).diagonal
+                assert smith_normal_form(mat, transforms=True).diagonal == diag
             assert all(d >= 0 for d in diag)
             nonzero = [d for d in diag if d]
             for a, b in zip(nonzero, nonzero[1:]):
@@ -69,12 +70,36 @@ class TestSmithNormalForm:
             assert list(diag) == nonzero + [0] * (len(diag) - len(nonzero))
 
     def test_transforms_are_unimodular_and_exact(self, rng):
-        for _ in range(50):
-            r, c = rng.randint(1, 4), rng.randint(1, 4)
-            mat = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        with deadline(2):  # an elimination that never ends fails here
+            for _ in range(50):
+                r, c = rng.randint(1, 4), rng.randint(1, 4)
+                mat = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+                result = smith_normal_form(mat, transforms=True)
+                assert result.diagonal == smith_normal_form(mat).diagonal
+                _check_transforms(mat, result)
+
+    @pytest.mark.parametrize(
+        "mat, diagonal",
+        [
+            ([[]], ()),
+            ([[], []], ()),
+            ([[0, 4, -6, 10, 0]], (2,)),
+            ([[0], [4], [-6], [10], [0]], (2,)),
+        ],
+        ids=["1x0", "2x0", "1x5", "5x1"],
+    )
+    def test_transforms_of_thin_matrices(self, mat, diagonal):
+        rows, cols = len(mat), len(mat[0])
+        with deadline(2):
             result = smith_normal_form(mat, transforms=True)
-            assert result.diagonal == smith_normal_form(mat).diagonal
+        assert result.diagonal == diagonal
+        assert len(result.U) == rows and all(len(row) == rows for row in result.U)
+        assert len(result.V) == cols and all(len(row) == cols for row in result.V)
+        if cols:
             _check_transforms(mat, result)
+        else:  # nothing to eliminate: U is the identity and V is empty
+            assert result.U == tuple(tuple(int(i == j) for j in range(rows)) for i in range(rows))
+            assert result.V == ()
 
     @pytest.mark.parametrize(
         "mat, diagonal",

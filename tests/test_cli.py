@@ -161,7 +161,8 @@ class TestAlgebraCommands:
     def test_snf(self, capsys, tmp_path):
         mat = tmp_path / "mat.json"
         mat.write_text("[[2, 0], [0, 3]]")
-        code, env = run_json(capsys, "snf", "--matrix", str(mat), "--transforms")
+        with deadline(2.0):
+            code, env = run_json(capsys, "snf", "--matrix", str(mat), "--transforms")
         assert code == EXIT_OK
         validate_data(env["data"], "snf")
         assert env["data"]["diagonal"] == [1, 6]
@@ -356,18 +357,35 @@ def test_over_long_exponent_in_relator_is_parse_error(capsys, tmp_path):
 # As many digits as the interpreter converts between int and str; twice this
 # number has one digit more.
 MAX_DIGITS = "9" * sys.get_int_max_str_digits()
+TOO_LONG_TO_PRINT = (
+    "the result has an integer too long to print "
+    f"(more than {sys.get_int_max_str_digits()} digits)"
+)
+
+
+# Inputs that print fine but whose results have an integer too long to print.
+# A matrix argument is written to a file, and its path passed instead.
+TOO_LONG_RESULTS = {
+    "nf": ["nf", "--group", "klein", "--word", f"al^{MAX_DIGITS}*be*al^-{MAX_DIGITS}*be^-1"],
+    "phi1": ["phi1", "--word", f"al^{MAX_DIGITS}"],
+    "snf": ["snf", "--matrix", [[3**8000, 0], [0, 2**13000 + 1]]],
+    "snf-transforms": [
+        "snf", "--transforms", "--matrix", [[1, 7**4700, 0], [0, 1, 3**8900], [0, 0, 1]],
+    ],
+    "dims": ["dims", "--surface", "torus", "-k", MAX_DIGITS, "--group", "braid", "--quantity", "cd"],
+    "lift": ["lift", "--points", f"1/{MAX_DIGITS},0"],
+}
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["nf", "--group", "klein", "--word", f"al^{MAX_DIGITS}*be*al^-{MAX_DIGITS}*be^-1"],
-        ["phi1", "--word", f"al^{MAX_DIGITS}"],
-    ],
-    ids=["nf", "phi1"],
-)
-def test_result_exponent_too_long_to_print(capsys, argv, as_json):
+@pytest.mark.parametrize("case", TOO_LONG_RESULTS)
+def test_result_exponent_too_long_to_print(capsys, tmp_path, case, as_json):
+    argv = []
+    for arg in TOO_LONG_RESULTS[case]:
+        if isinstance(arg, list):
+            (tmp_path / "mat.json").write_text(json.dumps(arg))
+            arg = str(tmp_path / "mat.json")
+        argv.append(arg)
     with deadline(2.0):
         if as_json:
             code, env = run_json(capsys, *argv)
@@ -376,10 +394,9 @@ def test_result_exponent_too_long_to_print(capsys, argv, as_json):
             code = main(argv)
             captured = capsys.readouterr()
             assert captured.out == ""
-            message = captured.err
+            message = captured.err.removeprefix("error: ")
     assert code == EXIT_DOMAIN
-    assert "exponent too long to print" in message
-    assert f"more than {sys.get_int_max_str_digits()} digits" in message
+    assert message.strip() == TOO_LONG_TO_PRINT
 
 
 def test_internal_key_error_is_not_a_domain_error(monkeypatch):
@@ -407,8 +424,9 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mat.json").write_text("[[2, 4], [6, 8]]")
     (tmp_path / "hom.json").write_text(json.dumps(HOM_SPEC))
-    assert run(capsys, *argv)[0] == EXIT_OK
-    code, env = run_json(capsys, *argv)
+    with deadline(2.0):
+        assert run(capsys, *argv)[0] == EXIT_OK
+        code, env = run_json(capsys, *argv)
     assert code == EXIT_OK
     if argv[0] == "hom-check":
         validate_data(env["data"]["report"], "homReport")

@@ -179,6 +179,22 @@ class TestLiftMatrices:
         with pytest.raises(NonAutomorphism):
             induced_sl2(e)
 
+    @pytest.mark.parametrize("ea", [1, -1])
+    @pytest.mark.parametrize("eb", [1, -1])
+    @pytest.mark.parametrize("u", range(-3, 4))
+    def test_agrees_with_direct_action_on_index_two_subgroup(self, ea, u, eb):
+        """<al, be^2> is the torus group, with a -> al and b -> be^2.  The
+        degree-1 lift is the automorphism's action on it, with the sign of
+        the a row chosen to make the determinant +1."""
+        e = KleinEndo(KleinElement(ea, 0), KleinElement(u, eb))
+        assert e.verify()
+        image_a, image_b = e(ALPHA), e(BETA * BETA)
+        assert image_a.s % 2 == 0 and image_b.s % 2 == 0  # both stay in the subgroup
+        direct = IntMat2(image_a.r, image_b.r, image_a.s // 2, image_b.s // 2)
+        m = induced_sl2(e)
+        assert m.det() == 1
+        assert m in (direct, IntMat2(-direct.a, -direct.b, direct.c, direct.d))
+
     def test_functoriality_on_the_four_group(self):
         for e in MCG_K:
             for f in MCG_K:

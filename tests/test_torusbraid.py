@@ -323,6 +323,36 @@ class TestPresentations:
             assert [str(r) for r in presentation.relators] == relators
 
 
+def syllable_text_oracle(e: B2TElement) -> str:
+    """An independent printer: the free part, then a^m, b^n and s where nonzero."""
+    parts = []
+    if not e.w.is_identity():
+        parts.append(str(e.w))
+    if e.m:
+        parts.append("a" if e.m == 1 else f"a^{e.m}")
+    if e.n:
+        parts.append("b" if e.n == 1 else f"b^{e.n}")
+    if e.eps:
+        parts.append("s")
+    return "*".join(parts) if parts else "1"
+
+
+class TestPrinting:
+    def test_identity(self):
+        assert str(IDENTITY) == "1"
+
+    def test_matches_oracle(self, rng):
+        exponents = [0, 1, -1, 7, -7]
+        for _ in range(2000):
+            e = B2TElement(
+                random_word(rng, XY, rng.choice([0, 4])),
+                rng.choice(exponents),
+                rng.choice(exponents),
+                rng.randint(0, 1),
+            )
+            assert str(e) == syllable_text_oracle(e)
+
+
 class TestWordParsing:
     def test_full_twist_expands(self):
         assert from_word(B2T_ALPHABET.parse("B")) == FULL_TWIST

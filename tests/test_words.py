@@ -209,6 +209,12 @@ class TestParsing:
         assert exc.value.token == "zz"
         assert exc.value.column == 3
 
+    @pytest.mark.parametrize("text, token, column", [("x*#", "#", 3), ("x*^2", "^", 3), ("é", "é", 1)])
+    def test_invalid_token(self, text, token, column):
+        with pytest.raises(WordParseError, match="^invalid token") as exc:
+            AB.parse(text)
+        assert (exc.value.token, exc.value.column) == (token, column)
+
     def test_dangling_separator(self):
         with pytest.raises(WordParseError):
             AB.parse("x*")
