@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from types import ModuleType
 from typing import Callable
 
 from . import abelian, dims, embeddings, klein, torusbraid
@@ -32,6 +32,16 @@ class CliDomainError(Exception):
     pass
 
 
+class _UsageError(Exception):
+    """An argparse usage error, raised to `main` instead of exiting: (prog, message)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(self.prog, message)
+
+
 # Command functions return result objects (elements, words, groups, answers,
 # fractions); `_render` turns them into text through str().
 
@@ -46,19 +56,19 @@ def _b2t_json(e: torusbraid.B2TElement) -> dict:
 
 @dataclass(frozen=True)
 class _Engine:
-    module: ModuleType  # klein or torusbraid, whichever provides from_word
+    from_word: Callable  # klein.from_word or torusbraid.from_word
     alphabet: Alphabet
     identity: object
     to_json: Callable[..., dict]
 
     def parse(self, text: str):
-        return self.module.from_word(self.alphabet.parse(text))
+        return self.from_word(self.alphabet.parse(text))
 
 
 ENGINES = {
-    "klein": _Engine(klein, klein.KLEIN_ALPHABET, klein.KLEIN_IDENTITY, _klein_json),
-    "p2t": _Engine(torusbraid, torusbraid.P2T_ALPHABET, torusbraid.IDENTITY, _b2t_json),
-    "b2t": _Engine(torusbraid, torusbraid.B2T_ALPHABET, torusbraid.IDENTITY, _b2t_json),
+    "klein": _Engine(klein.from_word, klein.KLEIN_ALPHABET, klein.KLEIN_IDENTITY, _klein_json),
+    "p2t": _Engine(torusbraid.from_word, torusbraid.P2T_ALPHABET, torusbraid.IDENTITY, _b2t_json),
+    "b2t": _Engine(torusbraid.from_word, torusbraid.B2T_ALPHABET, torusbraid.IDENTITY, _b2t_json),
 }
 
 
@@ -146,26 +156,18 @@ def cmd_ball(args) -> dict:
     }
 
 
-_ENDO_NAMES = ("E1", "E2", "E3", "E4")
-
-
 def cmd_mcgk(args) -> dict:
-    endos = dict(zip(_ENDO_NAMES, klein.MCG_K))
-    sl2 = {name: embeddings.induced_sl2(e) for name, e in endos.items()}
+    names = {e: f"E{i}" for i, e in enumerate(klein.MCG_K, 1)}
     data = {
-        "automorphisms": {
-            name: {"al": e.image_alpha, "be": e.image_beta}
-            for name, e in endos.items()
-        },
-        "sl2_images": {name: m.rows() for name, m in sl2.items()},
-        "kernel": [name for name, m in sl2.items() if m == embeddings.MAT_I],
+        "automorphisms": {n: {"al": e.image_alpha, "be": e.image_beta} for e, n in names.items()},
+        "sl2_images": {n: embeddings.induced_sl2(e).rows() for e, n in names.items()},
+        "kernel": [names[e] for e in embeddings.ker_phi_mcgk()],
     }
     if args.table:
-        lookup = {e: name for name, e in endos.items()}
         data["compose_table"] = {
-            f"{n1}*{n2}": lookup[klein.mcg_compose(e1, e2)]
-            for n1, e1 in endos.items()
-            for n2, e2 in endos.items()
+            f"{names[e1]}*{names[e2]}": names[klein.mcg_compose(e1, e2)]
+            for e1 in names
+            for e2 in names
         }
     return data
 
@@ -181,12 +183,10 @@ def _parse_points(text: str) -> list[embeddings.KleinPoint]:
             if "e" in chunk.lower():
                 # Fraction expands exponent notation eagerly: '1e9999999' would hang.
                 raise ValueError("exponent notation is not accepted")
-            point = embeddings.KleinPoint(Fraction(u_str.strip()), Fraction(v_str.strip()))
+            u, v = Fraction(u_str.strip()), Fraction(v_str.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            if isinstance(exc, embeddings.OutOfDomain):
-                raise
             raise WordParseError("invalid point", chunk, column) from exc
-        points.append(point)
+        points.append(embeddings.KleinPoint(u, v))
         column += len(chunk) + 1
     return points
 
@@ -260,33 +260,24 @@ def cmd_dims(args) -> dict:
 def cmd_verify_presentations(args) -> dict:
     if not 0 <= args.fuzz <= MAX_FUZZ_SAMPLES:
         raise CliDomainError(f"--fuzz must be between 0 and {MAX_FUZZ_SAMPLES}, got {args.fuzz}")
-    reports = {
-        name: _hom_report_json(rep)
-        for name, rep in torusbraid.verify_all_presentations().items()
-    }
-    reports["embedding"] = _hom_report_json(embeddings.PHI1_HOM.verify())
-    data = {"reports": reports}
-    if args.fuzz:
-        import random
-
-        rng = random.Random(args.seed)
-        failures = 0
-        for _ in range(args.fuzz):
-            u = klein.KleinElement(rng.randint(-20, 20), rng.randint(-20, 20))
-            v = klein.KleinElement(rng.randint(-20, 20), rng.randint(-20, 20))
-            if embeddings.phi1(u * v) != embeddings.phi1(u) * embeddings.phi1(v):
-                failures += 1
-        data["fuzz"] = {"samples": args.fuzz, "seed": args.seed, "failures": failures}
-    data["passed"] = all(rep["passed"] for rep in reports.values()) and (
-        not args.fuzz or data["fuzz"]["failures"] == 0
-    )
-    if not data["passed"]:
+    reports = {**torusbraid.verify_all_presentations(), "embedding": embeddings.PHI1_HOM.verify()}
+    rng = random.Random(args.seed)
+    failures = 0
+    for _ in range(args.fuzz):
+        u = klein.KleinElement(rng.randint(-20, 20), rng.randint(-20, 20))
+        v = klein.KleinElement(rng.randint(-20, 20), rng.randint(-20, 20))
+        failures += embeddings.phi1(u * v) != embeddings.phi1(u) * embeddings.phi1(v)
+    if failures or not all(rep.passed for rep in reports.values()):
         raise CliDomainError("presentation verification failed")
+    data = {"reports": {name: _hom_report_json(rep) for name, rep in reports.items()}}
+    if args.fuzz:
+        data["fuzz"] = {"samples": args.fuzz, "seed": args.seed, "failures": failures}
+    data["passed"] = True
     return data
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="surfgroups",
         description="Exact normal-form computations for surface braid and mapping class groups.",
     )
@@ -370,48 +361,45 @@ def _render(data: dict, as_json: bool) -> str:
                              f"{sys.get_int_max_str_digits()} digits)") from exc
 
 
-def _human_lines(data, indent: int = 0):
+def _human_lines(data: dict, indent: int = 0):
+    """A dict nests by indentation, a list of dicts prints one `- k: v, ...` line
+    per item, and any other value prints on one line."""
     pad = "  " * indent
-    if isinstance(data, dict):
-        for key, value in data.items():
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                yield f"{pad}{key}:"
-                yield from _human_lines(value, indent + 1)
-            else:
-                yield f"{pad}{key}: {_fmt_flat(value)}"
-    elif isinstance(data, list):
-        for item in data:
-            if isinstance(item, (dict, list)):
-                yield from _human_lines(item, indent)
-            else:
-                yield f"{pad}- {item}"
-    else:
-        yield f"{pad}{data}"
+    for key, value in data.items():
+        if isinstance(value, dict) and value:
+            yield f"{pad}{key}:"
+            yield from _human_lines(value, indent + 1)
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            yield f"{pad}{key}:"
+            for item in value:
+                yield f"{pad}  - " + ", ".join(f"{k}: {_inline(v)}" for k, v in item.items())
+        else:
+            yield f"{pad}{key}: {_inline(value)}"
 
 
-def _is_flat(value) -> bool:
+def _inline(value) -> str:
+    """One line; a list keeps its nesting, so a matrix prints as a list of rows."""
     if isinstance(value, list):
-        return all(not isinstance(v, (dict, list)) for v in value)
-    return False
-
-
-def _fmt_flat(value) -> str:
-    if isinstance(value, list):
-        return "[" + ", ".join(str(v) for v in value) + "]"
+        return "[" + ", ".join(map(_inline, value)) + "]"
     return str(value)
 
 
-def _emit_error(message: str, as_json: bool) -> None:
+def _emit_error(message: str, as_json: bool, label: str = "error") -> None:
     if as_json:
         print(_envelope("error", {}, [message]))
     else:
-        print(f"error: {message}", file=sys.stderr)
+        print(f"{label}: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    as_json = getattr(args, "json", False)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:  # argparse printed the usage to stderr already
+        prog, message = exc.args
+        _emit_error(message, "--json" in argv, f"{prog}: error")
+        return EXIT_PARSE
+    as_json = args.json
     try:
         text = _render(args.func(args), as_json)
     except WordParseError as exc:

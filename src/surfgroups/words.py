@@ -277,14 +277,14 @@ class Presentation:
 class HomReport:
     """Per-relator pass/fail record for a homomorphism check."""
 
-    results: tuple[tuple[str, bool], ...]
+    results: tuple[tuple[FreeWord, bool], ...]
 
     @property
     def passed(self) -> bool:
         return all(ok for _, ok in self.results)
 
     def failures(self) -> list[str]:
-        return [rel for rel, ok in self.results if not ok]
+        return [str(rel) for rel, ok in self.results if not ok]
 
 
 @dataclass(frozen=True)
@@ -315,9 +315,7 @@ class GroupHom:
 
     def verify(self) -> HomReport:
         """The map extends to a homomorphism iff every relator maps to 1."""
-        return HomReport(
-            tuple((str(r), self.evaluate(r).is_identity()) for r in self.source.relators)
-        )
+        return HomReport(tuple((r, self.evaluate(r).is_identity()) for r in self.source.relators))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import surfgroups
+from surfgroups import embeddings, klein, torusbraid
 from surfgroups.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, build_parser, main
+from surfgroups.words import HomReport
 
 from conftest import deadline
 
@@ -79,6 +81,24 @@ class TestNormalForms:
     def test_parse_error_exit_code(self, capsys):
         code = main(["nf", "--group", "klein", "--word", "al**be"])
         assert code == EXIT_PARSE
+
+    def test_usage_error_with_json_prints_an_envelope(self, capsys):
+        code, env = run_json(capsys, "nf", "--group", "klein")
+        assert code == EXIT_PARSE
+        assert env["status"] == "error" and env["data"] == {}
+        assert "--word" in env["diagnostics"][0]
+
+    def test_usage_error_without_json_keeps_argparse_text(self, capsys):
+        assert main(["nf", "--group", "klein"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: surfgroups nf ")
+        assert captured.err.endswith(
+            "\nsurfgroups nf: error: the following arguments are required: --word\n"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["nf", "--help"])
+        assert exc.value.code == 0
 
     def test_unknown_generator_names_column(self, capsys):
         code = main(["nf", "--group", "klein", "--word", "al*qq", "--json"])
@@ -307,6 +327,56 @@ class TestVerification:
         assert code == EXIT_OK
         assert "b" in out
 
+    def test_verify_presentations_fails_on_a_failed_report(self, capsys, monkeypatch):
+        broken = HomReport(((klein.KLEIN_ALPHABET.parse("al"), False),))
+        monkeypatch.setattr(torusbraid, "verify_all_presentations", lambda: {"broken": broken})
+        code, env = run_json(capsys, "verify-presentations")
+        assert code == EXIT_DOMAIN
+        assert env["diagnostics"] == ["presentation verification failed"]
+
+    def test_verify_presentations_fails_on_a_broken_fuzz(self, capsys, monkeypatch):
+        # A constant map to sigma is no homomorphism: sigma*sigma = B, not sigma.
+        sigma = torusbraid.from_word(torusbraid.B2T_ALPHABET.parse("s"))
+        monkeypatch.setattr(embeddings, "phi1", lambda g: sigma)
+        assert run_json(capsys, "verify-presentations")[0] == EXIT_OK
+        code, env = run_json(capsys, "verify-presentations", "--fuzz", "3")
+        assert code == EXIT_DOMAIN
+        assert env["diagnostics"] == ["presentation verification failed"]
+
+
+class TestTextOutput:
+    def test_matrices_and_points_print_as_rows(self, capsys, tmp_path):
+        matrix = [[2, 4, 1], [6, 8, 3], [1, 1, 1]]
+        mat = tmp_path / "mat.json"
+        mat.write_text(json.dumps(matrix))
+        lines = run(capsys, "snf", "--matrix", str(mat), "--transforms")[1].splitlines()
+        result = surfgroups.smith_normal_form(matrix, transforms=True)
+        assert f"U: {[list(row) for row in result.U]}" in lines
+        assert f"V: {[list(row) for row in result.V]}" in lines
+
+        lines = run(capsys, "lift", "--points", "1/4,0;1/3,1/2")[1].splitlines()
+        assert "input: [[1/4, 0], [1/3, 1/2]]" in lines
+        assert "lifted: [[1/4, 0], [1/3, 1/2], [3/4, 0], [5/6, 1/2]]" in lines
+
+        assert "  E3: [[-1, 0], [0, -1]]" in run(capsys, "mcgk")[1].splitlines()
+
+    def test_relators_print_one_line_each(self, capsys, tmp_path):
+        spec = {
+            "alphabet": ["al", "be"],
+            "relators": ["al*be*al*be^-1", "al*be^-1", "be^2"],
+            "target": "klein",
+            "images": {"al": "al", "be": "al"},
+        }
+        (tmp_path / "hom.json").write_text(json.dumps(spec))
+        code, out = run(capsys, "hom-check", "--file", str(tmp_path / "hom.json"))
+        assert code == EXIT_OK
+        assert out.splitlines()[-4:] == [
+            "  relators:",
+            "    - relator: al*be*al*be^-1, ok: False",
+            "    - relator: al*be^-1, ok: True",
+            "    - relator: be^2, ok: False",
+        ]
+
 
 @pytest.mark.parametrize(
     "argv, code, needle",
@@ -364,7 +434,7 @@ TOO_LONG_TO_PRINT = (
 
 
 # Inputs that print fine but whose results have an integer too long to print.
-# A matrix argument is written to a file, and its path passed instead.
+# A matrix or spec argument is written to a file, and its path passed instead.
 TOO_LONG_RESULTS = {
     "nf": ["nf", "--group", "klein", "--word", f"al^{MAX_DIGITS}*be*al^-{MAX_DIGITS}*be^-1"],
     "phi1": ["phi1", "--word", f"al^{MAX_DIGITS}"],
@@ -374,6 +444,11 @@ TOO_LONG_RESULTS = {
     ],
     "dims": ["dims", "--surface", "torus", "-k", MAX_DIGITS, "--group", "braid", "--quantity", "cd"],
     "lift": ["lift", "--points", f"1/{MAX_DIGITS},0"],
+    "hom-check": [
+        "hom-check", "--file",
+        {"alphabet": ["al", "be"], "relators": [f"al^{MAX_DIGITS}*al"], "target": "klein",
+         "images": {"al": "al", "be": "be"}},
+    ],
 }
 
 
@@ -382,7 +457,7 @@ TOO_LONG_RESULTS = {
 def test_result_exponent_too_long_to_print(capsys, tmp_path, case, as_json):
     argv = []
     for arg in TOO_LONG_RESULTS[case]:
-        if isinstance(arg, list):
+        if isinstance(arg, (list, dict)):
             (tmp_path / "mat.json").write_text(json.dumps(arg))
             arg = str(tmp_path / "mat.json")
         argv.append(arg)
