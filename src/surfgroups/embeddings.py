@@ -2,6 +2,11 @@
 group, the lift calculus from Klein-bottle mapping classes to SL(2, Z), and
 point-set lifting through the orientable double cover.
 
+The embedding is computed by its closed form, and is injective on all of
+Z^2: `phi1_retract` is a left inverse of the closed form, and its docstring
+proves that the closed form is phi1.  The ball certificate is a finite
+cross-check of the same fact.
+
 The covering is modelled flatly on (R/Z)^2 with the free orientation-
 reversing involution iota(u, v) = (u + 1/2 mod 1, -v mod 1); the quotient is
 the Klein bottle with fundamental domain u in [0, 1/2), v in [0, 1).
@@ -14,7 +19,7 @@ from typing import Iterable
 
 from .klein import KLEIN_PRESENTATION, MCG_K, KleinElement, KleinEndo
 from .torusbraid import GEN_A, GEN_B, GEN_X, GEN_Y, IDENTITY, SIGMA_INV, XY, B2TElement
-from .words import GroupHom
+from .words import FreeWord, GroupHom
 
 DEFAULT_BALL_BOUND = 64
 
@@ -47,8 +52,10 @@ PHI1_HOM = GroupHom(
 
 
 def phi1(u: KleinElement) -> B2TElement:
-    """Image of al^r be^s under the embedding into the torus braid group."""
-    return PHI1_IMAGE_ALPHA ** u.r * PHI1_IMAGE_BETA ** u.s
+    """Image of al^r be^s under the embedding into the torus braid group.
+    It is the closed form; the docstring of `phi1_retract` proves the two
+    equal."""
+    return phi1_closed_form(u.r, u.s)
 
 
 def phi1_closed_form(r: int, s: int) -> B2TElement:
@@ -57,10 +64,51 @@ def phi1_closed_form(r: int, s: int) -> B2TElement:
     when s is odd, with the trailing s^-1 canonicalised as B^-1 s.
     """
     if s % 2 == 0:
-        return B2TElement(XY.word([("x", 2 * r)]), -r, s // 2, 0)
-    # x^(2r) * y * B^-1 reduces to x^(2r+1) * y * x^-1.
-    word = XY.word([("x", 2 * r + 1), ("y", 1), ("x", -1)])
+        return B2TElement(FreeWord(XY, (("x", 2 * r),) if r else ()), -r, s // 2, 0)
+    # x^(2r) * y * B^-1 reduces to x^(2r+1) * y * x^-1; 2r + 1 is never 0.
+    word = FreeWord(XY, (("x", 2 * r + 1), ("y", 1), ("x", -1)))
     return B2TElement(word, -r, (s - 1) // 2, 1)
+
+
+def phi1_retract(g: B2TElement) -> KleinElement | None:
+    """The left inverse of the closed form: w * a^m * b^n * s^eps goes to
+    al^r be^s with r = -m and s = 2n + eps, or to None when g is not
+    phi1_closed_form(r, s), that is, when g lies outside the image.
+
+    Proof that phi1 is injective on all of Z^2.  Write C = phi1_closed_form,
+    A = x^2 a^-1 and B = x y x^-1 s for the images of al and be (the
+    normal forms of a^-1 x^2 and y s^-1).
+
+    1. C is injective: C(r, s) has m = -r and 2n + eps = s in both parity
+       classes, so retract(C(r, s)) = (r, s).
+    2. C = phi1.  C(0, 0) = 1, and for all r, s:
+         C(r, s) * A = C(r + (-1)^s, s)   and   C(r, s) * B = C(r, s + 1).
+       Applied at (r - (-1)^s, s) and (r, s - 1), the same identities give
+       C(r, s) * A^-1 = C(r - (-1)^s, s) and C(r, s) * B^-1 = C(r, s - 1).
+       These are the Klein product rules al^r be^s * al^+-1 =
+       al^(r +- (-1)^s) be^s and al^r be^s * be^+-1 = al^r be^(s +- 1), so
+       induction on word length gives C(u) = PHI1_HOM.evaluate(w) for every
+       word w over al, be that represents u.  PHI1_HOM.verify() shows that
+       the relator maps to 1, so that evaluation is the homomorphism phi1.
+    Case split for the step identities, reducing words at the seam
+    (conjugation by s sends x^k to u x^-k u^-1 a^k and x y x^-1 to
+    u x^-1 y^-1 x u^-1 b, with u = x y^-1, and s * s = B = x y^-1 x^-1 y):
+      s even, * A:  x^(2r) * x^2 = x^(2r+2), m: -r - 1.  At r = 0 the left
+                    syllable is absent, and at r = -1 the two cancel; both
+                    give x^(2r+2) with x^0 read as the empty word.
+      s odd,  * A:  x^(2r+1) y x^-1 * u x^-2 u^-1 = x^(2r-1) y x^-1,
+                    m: -r - 1 + 2 = -(r - 1).  2r + 1 - 2 is odd, so no
+                    syllable vanishes.
+      s even, * B:  x^(2r) * x y x^-1 = x^(2r+1) y x^-1, eps: 1.  At r = 0
+                    the left syllable is absent; 2r + 1 never vanishes.
+      s odd,  * B:  x^(2r+1) y x^-1 * u x^-1 y^-1 x u^-1 * B = x^(2r),
+                    n: n + 1, eps: 0.  x^(2r+1) * x^-1 vanishes at r = 0,
+                    and then the empty word remains.
+    So phi1 = C is injective on all of Z^2; the ball certificate is a finite
+    cross-check of the same fact.
+    """
+    r, s = -g.m, 2 * g.n + g.eps
+    return KleinElement(r, s) if phi1_closed_form(r, s) == g else None
 
 
 @dataclass(frozen=True)
@@ -78,11 +126,9 @@ def certify_injectivity_ball(radius: int) -> BallReport:
     """Enumerate all al^r be^s with |r|, |s| <= radius and certify that their
     images are pairwise distinct by canonical-form hashing.
 
-    Each row r is walked with one product per element: it starts from
-    phi1(al^r be^-radius) and steps by right-multiplying with phi1(be).  This
-    is exact: phi1(al^r be^(s+1)) = A^r B^(s+1) = phi1(al^r be^s) B, where A
-    and B are the images of al and be, and normal forms are unique, so the
-    hashed keys are those of phi1 evaluated element by element."""
+    Each image is the closed form, built directly with no group product.
+    Injectivity on all of Z^2 is proved by `phi1_retract`; this certificate
+    is a finite cross-check of the same fact, by enumeration."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if radius > DEFAULT_BALL_BOUND:
@@ -90,15 +136,13 @@ def certify_injectivity_ball(radius: int) -> BallReport:
     seen: dict = {}
     collisions = []
     for r in range(-radius, radius + 1):
-        img = phi1(KleinElement(r, -radius))
         for s in range(-radius, radius + 1):
+            img = phi1_closed_form(r, s)
             key = (img.w.syllables, img.m, img.n, img.eps)
             if key in seen:
                 collisions.append((seen[key], (r, s)))
             else:
                 seen[key] = (r, s)
-            if s < radius:
-                img = img * PHI1_IMAGE_BETA
     return BallReport(radius, len(seen), tuple(collisions))
 
 

@@ -52,7 +52,7 @@ def test_criterion_2_embedding_certificate():
     ok = ok and phi1(KleinElement(0, 2)) == GEN_B
     for r in range(-20, 21):
         for s in range(-20, 21):
-            if phi1_closed_form(r, s) != phi1(KleinElement(r, s)):
+            if phi1_closed_form(r, s) != PHI1_HOM.evaluate(KleinElement(r, s).to_word()):
                 ok = False
     report(2, "embedding certificate", ok)
 

@@ -119,6 +119,20 @@ class TestEmbeddingCommands:
         _, env = run_json(capsys, "phi1", "--word", "al^2*be^4", "--closed-form")
         assert env["data"]["closed_form_agrees"] is True
 
+    def test_phi1_closed_form_agrees_on_huge_exponents(self, capsys):
+        word = f"be^3*al^{10**30}*be^-{10**30 + 1}"
+        with deadline(2.0):
+            _, env = run_json(capsys, "phi1", "--word", word, "--closed-form")
+        assert env["data"]["closed_form_agrees"] is True
+
+    def test_phi1_closed_form_is_checked_against_the_generator_images(self, capsys, monkeypatch):
+        # phi1 is the closed form, so a broken closed form breaks both; the
+        # flag must still see it.
+        monkeypatch.setattr(embeddings, "phi1_closed_form", lambda r, s: torusbraid.IDENTITY)
+        _, env = run_json(capsys, "phi1", "--word", "al^2*be^4", "--closed-form")
+        assert env["data"]["image"]["word"] == "1"
+        assert env["data"]["closed_form_agrees"] is False
+
     def test_ball(self, capsys):
         code, env = run_json(capsys, "ball", "--radius", "3")
         assert code == EXIT_OK

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfgroups import embeddings
 from surfgroups.embeddings import (
     DEFAULT_BALL_BOUND,
     MAT_I,
     PHI1_HOM,
+    PHI1_IMAGE_ALPHA,
+    PHI1_IMAGE_BETA,
     BallReport,
     DuplicatePoint,
     IntMat2,
@@ -23,13 +26,28 @@ from surfgroups.embeddings import (
     lift_matrices,
     phi1,
     phi1_closed_form,
+    phi1_retract,
 )
 from surfgroups.klein import ALPHA, BETA, E1, E2, E3, E4, MCG_K, KleinElement, KleinEndo
-from surfgroups.torusbraid import GEN_B, IDENTITY, B2TElement, XY
+from surfgroups.torusbraid import GEN_A, GEN_B, GEN_X, GEN_Y, IDENTITY, SIGMA, B2TElement, XY
 
 from conftest import random_klein
 
 F = Fraction
+
+
+def product_ball(radius):
+    """Slow oracle: A^r B^s by group products over the ball, where A and B
+    are the images of al and be, as {(r, s): image}.  Each row starts from
+    A^r B^-radius by square-and-multiply and steps by right-multiplying
+    with B."""
+    images = {}
+    for r in range(-radius, radius + 1):
+        img = PHI1_IMAGE_ALPHA ** r * PHI1_IMAGE_BETA ** -radius
+        for s in range(-radius, radius + 1):
+            images[r, s] = img
+            img = img * PHI1_IMAGE_BETA
+    return images
 
 
 class TestPhi1:
@@ -58,6 +76,10 @@ class TestPhi1:
             u = random_klein(rng)
             assert phi1(u).eps == u.s % 2
 
+    def test_matches_product_oracle_on_ball(self):
+        for (r, s), image in product_ball(DEFAULT_BALL_BOUND).items():
+            assert phi1(KleinElement(r, s)) == image
+
 
 class TestClosedForm:
     def test_identity(self):
@@ -70,9 +92,47 @@ class TestClosedForm:
         assert phi1_closed_form(1, 0) == B2TElement(XY.parse("x^2"), -1, 0, 0)
 
     def test_agrees_with_phi1_on_grid(self):
+        """phi1 is the closed form, so compare with the homomorphism
+        evaluated on the word al^r*be^s instead."""
         for r in range(-20, 21):
             for s in range(-20, 21):
-                assert phi1_closed_form(r, s) == phi1(KleinElement(r, s))
+                assert phi1_closed_form(r, s) == PHI1_HOM.evaluate(KleinElement(r, s).to_word())
+
+
+BIG = 10**20
+STEP_RS = [*range(-3, 4), BIG, -BIG]
+STEP_SS = [*range(-4, 5), BIG, BIG + 1, -BIG, -BIG - 1]
+HUGE = st.integers(-(10**30), 10**30)
+
+
+class TestRetract:
+    def test_round_trips_on_ball(self):
+        R = DEFAULT_BALL_BOUND
+        for r in range(-R, R + 1):
+            for s in range(-R, R + 1):
+                assert phi1_retract(phi1_closed_form(r, s)) == KleinElement(r, s)
+
+    @given(HUGE, HUGE)
+    @settings(max_examples=300)
+    def test_round_trips_on_huge_exponents(self, r, s):
+        assert phi1_retract(phi1_closed_form(r, s)) == KleinElement(r, s)
+
+    @pytest.mark.parametrize(
+        "g", [GEN_Y, SIGMA, GEN_X ** 3, GEN_A * GEN_B], ids=["y", "s", "x^3", "a*b"]
+    )
+    def test_none_outside_the_image(self, g):
+        assert phi1_retract(g) is None
+
+    @pytest.mark.parametrize("s", STEP_SS)
+    @pytest.mark.parametrize("r", STEP_RS)
+    def test_step_identities(self, r, s):
+        """The induction steps of the proof in phi1_retract's docstring."""
+        sign = -1 if s % 2 else 1
+        cf = phi1_closed_form(r, s)
+        assert cf * PHI1_IMAGE_ALPHA == phi1_closed_form(r + sign, s)
+        assert cf * PHI1_IMAGE_BETA == phi1_closed_form(r, s + 1)
+        assert cf * PHI1_IMAGE_ALPHA.inverse() == phi1_closed_form(r - sign, s)
+        assert cf * PHI1_IMAGE_BETA.inverse() == phi1_closed_form(r, s - 1)
 
 
 def per_element_ball(radius):
@@ -119,7 +179,12 @@ class TestInjectivityBall:
         ],
     )
     def test_matches_oracle_on_non_injective_images(self, monkeypatch, name, image):
-        monkeypatch.setattr(embeddings, name, image)
+        """Replace the closed form by the product map alpha^r beta^s with one
+        generator image swapped for `image`, which is not injective."""
+        images = {"PHI1_IMAGE_ALPHA": PHI1_IMAGE_ALPHA, "PHI1_IMAGE_BETA": PHI1_IMAGE_BETA}
+        images[name] = image
+        alpha, beta = images["PHI1_IMAGE_ALPHA"], images["PHI1_IMAGE_BETA"]
+        monkeypatch.setattr(embeddings, "phi1_closed_form", lambda r, s: alpha ** r * beta ** s)
         for radius in (1, 5, 12):
             report = certify_injectivity_ball(radius)
             expected = per_element_ball(radius)
@@ -138,8 +203,7 @@ class TestInjectivityBall:
 
         monkeypatch.setattr(B2TElement, "__mul__", counting_mul)
         assert certify_injectivity_ball(radius).passed
-        side = 2 * radius + 1
-        assert calls <= side * side + 16 * side
+        assert calls == 0  # at most one per element; the closed form needs none
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
