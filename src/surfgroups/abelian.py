@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .words import DomainError
+
 Matrix = list[list[int]]
 
 
@@ -65,16 +67,16 @@ def _identity(n: int) -> Matrix:
 def _validate(mat: Sequence[Sequence[int]]) -> Matrix:
     """A working copy of a list of equal-length rows of ints (not bools)."""
     if not isinstance(mat, (list, tuple)):
-        raise ValueError(f"matrix must be a list of rows, got {type(mat).__name__}")
+        raise DomainError(f"matrix must be a list of rows, got {type(mat).__name__}")
     A = []
     for i, row in enumerate(mat):
         if not isinstance(row, (list, tuple)):
-            raise ValueError(f"row {i} must be a list of integers, got {row!r}")
+            raise DomainError(f"row {i} must be a list of integers, got {row!r}")
         if A and len(row) != len(A[0]):
-            raise ValueError(f"ragged matrix: row {i} has length {len(row)}, row 0 has {len(A[0])}")
+            raise DomainError(f"ragged matrix: row {i} has length {len(row)}, row 0 has {len(A[0])}")
         if not set(map(type, row)) <= {int}:  # bools and floats fail here
             j, x = next((j, x) for j, x in enumerate(row) if type(x) is not int)
-            raise ValueError(f"entry at row {i}, column {j} must be an integer, got {x!r}")
+            raise DomainError(f"entry at row {i}, column {j} must be an integer, got {x!r}")
         A.append(list(row))
     return A
 
@@ -159,9 +161,9 @@ MAX_NAB_GK = 100
 
 def _check_gk(g: int, k: int) -> None:
     if g < 1 or k < 1:
-        raise ValueError(f"requires g >= 1 and k >= 1, got g={g}, k={k}")
+        raise DomainError(f"requires g >= 1 and k >= 1, got g={g}, k={k}")
     if g > MAX_NAB_GK or k > MAX_NAB_GK:
-        raise ValueError(f"requires g <= {MAX_NAB_GK} and k <= {MAX_NAB_GK}, got g={g}, k={k}")
+        raise DomainError(f"requires g <= {MAX_NAB_GK} and k <= {MAX_NAB_GK}, got g={g}, k={k}")
 
 
 def _kill_basis_vectors(rank: int, first: int) -> Matrix:

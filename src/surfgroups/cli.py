@@ -2,7 +2,9 @@
 
 Every subcommand supports --json, emitting a versioned result envelope:
 {"schema": ..., "status": "ok"|"error", "data": ..., "diagnostics": [...]}.
-Exit codes: 0 ok, 1 domain error, 2 parse error.
+Exit codes: 0 ok; 1 a domain error, that is any `DomainError`, including an
+unreadable or malformed input file; 2 a parse or usage error.  Any other
+exception is a bug and propagates with a traceback.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import abelian, dims, embeddings, klein, torusbraid
-from .words import Alphabet, GroupHom, HomReport, Presentation, WordParseError
+from .words import Alphabet, DomainError, GroupHom, HomReport, Presentation, WordParseError
 
 SCHEMA_ID = "surfgroups/result/v1"
 
@@ -26,10 +28,6 @@ EXIT_PARSE = 2
 # verify-presentations --fuzz checks one phi1 product per sample, about 0.015 ms
 # each (Python 3.11, 2-CPU Xeon); the bound keeps a run well under a second.
 MAX_FUZZ_SAMPLES = 10_000
-
-
-class CliDomainError(Exception):
-    pass
 
 
 class _UsageError(Exception):
@@ -106,28 +104,40 @@ _HOM_SPEC_FIELDS = (
 )
 
 
+def _read_json(path: str):
+    """The JSON value in a file.  An unreadable file, bad UTF-8 or bad JSON
+    is a domain error with the reader's own message; JSON nested deeper than
+    the reader recurses is one too."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError(str(exc)) from exc
+    except RecursionError as exc:
+        raise DomainError(f"the JSON in {path} is nested too deeply") from exc
+
+
 def _check_hom_spec(spec) -> None:
     """Name the first missing or ill-typed field of a hom-check spec."""
     if not isinstance(spec, dict):
-        raise CliDomainError(f"hom-check spec must be a JSON object, got {type(spec).__name__}")
+        raise DomainError(f"hom-check spec must be a JSON object, got {type(spec).__name__}")
     for field, kind, what in _HOM_SPEC_FIELDS:
         if field not in spec:
-            raise CliDomainError(f"hom-check spec is missing field {field!r}")
+            raise DomainError(f"hom-check spec is missing field {field!r}")
         value = spec[field]
         items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
         if not isinstance(value, kind) or not all(isinstance(v, str) for v in items):
-            raise CliDomainError(f"hom-check spec field {field!r} must be {what}")
+            raise DomainError(f"hom-check spec field {field!r} must be {what}")
 
 
 def cmd_hom_check(args) -> dict:
-    with open(args.file) as fh:
-        spec = json.load(fh)
+    spec = _read_json(args.file)
     _check_hom_spec(spec)
     alphabet = Alphabet.of(*spec["alphabet"])
     presentation = Presentation.parse(alphabet, spec["relators"])
     target = spec["target"]
     if target not in ENGINES:
-        raise CliDomainError(f"unknown target engine {target!r}")
+        raise DomainError(f"unknown target engine {target!r}")
     engine = ENGINES[target]
     images = {name: engine.parse(word) for name, word in spec["images"].items()}
     hom = GroupHom(presentation, images, identity=engine.identity)
@@ -207,8 +217,7 @@ def _group_json(group: abelian.AbelianGroup) -> dict:
 
 
 def cmd_snf(args) -> dict:
-    with open(args.matrix) as fh:
-        mat = json.load(fh)
+    mat = _read_json(args.matrix)
     result = abelian.smith_normal_form(mat, transforms=args.transforms)
     group = abelian.AbelianGroup.from_diagonal(result.diagonal, len(mat[0]) if mat else 0)
     data = {
@@ -240,10 +249,10 @@ def cmd_nab(args) -> dict:
 def cmd_dims(args) -> dict:
     if args.surface in (dims.ORIENTABLE, dims.NONORIENTABLE):
         if args.genus is None:
-            raise CliDomainError("--surface orientable/nonorientable requires -g")
+            raise DomainError("--surface orientable/nonorientable requires -g")
         surface = dims.SurfaceSpec(args.surface, args.genus, args.punctures)
     elif args.genus is not None:
-        raise CliDomainError(f"--surface {args.surface} fixes the genus; drop -g")
+        raise DomainError(f"--surface {args.surface} fixes the genus; drop -g")
     else:
         surface = dims.SurfaceSpec.named(args.surface, args.punctures)
     answer = dims.dim_query(surface, args.group, args.quantity)
@@ -260,7 +269,7 @@ def cmd_dims(args) -> dict:
 
 def cmd_verify_presentations(args) -> dict:
     if not 0 <= args.fuzz <= MAX_FUZZ_SAMPLES:
-        raise CliDomainError(f"--fuzz must be between 0 and {MAX_FUZZ_SAMPLES}, got {args.fuzz}")
+        raise DomainError(f"--fuzz must be between 0 and {MAX_FUZZ_SAMPLES}, got {args.fuzz}")
     reports = {**torusbraid.verify_all_presentations(), "embedding": embeddings.PHI1_HOM.verify()}
     rng = random.Random(args.seed)
     failures = 0
@@ -269,7 +278,7 @@ def cmd_verify_presentations(args) -> dict:
         v = klein.KleinElement(rng.randint(-20, 20), rng.randint(-20, 20))
         failures += embeddings.phi1(u * v) != embeddings.phi1(u) * embeddings.phi1(v)
     if failures or not all(rep.passed for rep in reports.values()):
-        raise CliDomainError("presentation verification failed")
+        raise DomainError("presentation verification failed")
     data = {"reports": {name: _hom_report_json(rep) for name, rep in reports.items()}}
     if args.fuzz:
         data["fuzz"] = {"samples": args.fuzz, "seed": args.seed, "failures": failures}
@@ -358,8 +367,8 @@ def _render(data: dict, as_json: bool) -> str:
     try:
         return _envelope("ok", data, []) if as_json else "\n".join(_human_lines(data))
     except ValueError as exc:  # an integer with more digits than str() converts
-        raise CliDomainError("the result has an integer too long to print (more than "
-                             f"{sys.get_int_max_str_digits()} digits)") from exc
+        raise DomainError("the result has an integer too long to print (more than "
+                          f"{sys.get_int_max_str_digits()} digits)") from exc
 
 
 def _human_lines(data: dict, indent: int = 0):
@@ -406,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     except WordParseError as exc:
         _emit_error(str(exc), as_json)
         return EXIT_PARSE
-    except (CliDomainError, ValueError, OSError) as exc:
+    except DomainError as exc:
         _emit_error(str(exc), as_json)
         return EXIT_DOMAIN
     print(text)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .words import DomainError
+
 ORIENTABLE = "orientable"
 NONORIENTABLE = "nonorientable"
 
@@ -34,11 +36,11 @@ class SurfaceSpec:
 
     def __post_init__(self):
         if self.kind not in (ORIENTABLE, NONORIENTABLE):
-            raise ValueError(f"kind must be {ORIENTABLE!r} or {NONORIENTABLE!r}")
+            raise DomainError(f"kind must be {ORIENTABLE!r} or {NONORIENTABLE!r}")
         if self.kind == NONORIENTABLE and self.genus < 1:
-            raise ValueError("non-orientable genus must be >= 1")
+            raise DomainError("non-orientable genus must be >= 1")
         if self.genus < 0 or self.punctures < 0:
-            raise ValueError("genus and punctures must be nonnegative")
+            raise DomainError("genus and punctures must be nonnegative")
 
     @classmethod
     def named(cls, name: str, punctures: int = 0) -> "SurfaceSpec":
@@ -68,9 +70,9 @@ class DimAnswer:
 
 def dim_query(s: SurfaceSpec, group: str, quantity: str) -> DimAnswer:
     if group not in GROUPS:
-        raise ValueError(f"group must be one of {GROUPS}")
+        raise DomainError(f"group must be one of {GROUPS}")
     if quantity not in QUANTITIES:
-        raise ValueError(f"quantity must be one of {QUANTITIES}")
+        raise DomainError(f"quantity must be one of {QUANTITIES}")
     # A pure group has finite index in its full group, so both share one answer.
     family = _braid_dim if group in ("braid", "pure-braid") else _mcg_dim
     kind, value = family(s, quantity)

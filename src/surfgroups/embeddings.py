@@ -19,25 +19,9 @@ from typing import Iterable
 
 from .klein import KLEIN_PRESENTATION, MCG_K, KleinElement, KleinEndo
 from .torusbraid import GEN_A, GEN_B, GEN_X, GEN_Y, IDENTITY, SIGMA_INV, XY, B2TElement
-from .words import FreeWord, GroupHom
+from .words import DomainError, FreeWord, GroupHom
 
 DEFAULT_BALL_BOUND = 64
-
-
-class NotLiftable(ValueError):
-    """The endomorphism does not lift through the double cover."""
-
-
-class NonAutomorphism(ValueError):
-    """SL(2, Z) output requires generator images of infinite-order type +-1."""
-
-
-class DuplicatePoint(ValueError):
-    pass
-
-
-class OutOfDomain(ValueError):
-    pass
 
 
 # Generator images: al -> a^-1 x^2, be -> y s^-1.
@@ -130,9 +114,9 @@ def certify_injectivity_ball(radius: int) -> BallReport:
     Injectivity on all of Z^2 is proved by `phi1_retract`; this certificate
     is a finite cross-check of the same fact, by enumeration."""
     if radius < 0:
-        raise ValueError("radius must be nonnegative")
+        raise DomainError("radius must be nonnegative")
     if radius > DEFAULT_BALL_BOUND:
-        raise ValueError(f"radius {radius} exceeds configured bound {DEFAULT_BALL_BOUND}")
+        raise DomainError(f"radius {radius} exceeds configured bound {DEFAULT_BALL_BOUND}")
     seen: dict = {}
     collisions = []
     for r in range(-radius, radius + 1):
@@ -175,10 +159,10 @@ def lift_matrices(e: KleinEndo) -> tuple[IntMat2, IntMat2]:
     """The two lifts of an endomorphism al -> al^r, be -> al^u be^v (v odd)
     act on the torus group by the matrices diag(r, v) and diag(-r, v)."""
     if e.image_alpha.s != 0:
-        raise NotLiftable(f"image of al must be a power of al, got {e.image_alpha}")
+        raise DomainError(f"image of al must be a power of al, got {e.image_alpha}")
     v = e.image_beta.s
     if v % 2 == 0:
-        raise NotLiftable(f"image of be has even be-exponent {v}; no lift exists")
+        raise DomainError(f"image of be has even be-exponent {v}; no lift exists")
     r = e.image_alpha.r
     return IntMat2(r, 0, 0, v), IntMat2(-r, 0, 0, v)
 
@@ -187,7 +171,7 @@ def induced_sl2(e: KleinEndo) -> IntMat2:
     """The degree-1 lift: whichever of the two lift matrices has determinant +1."""
     m1, m2 = lift_matrices(e)
     if abs(e.image_alpha.r) != 1 or abs(e.image_beta.s) != 1:
-        raise NonAutomorphism(
+        raise DomainError(
             f"SL(2, Z) image requires |r| = |v| = 1, got r={e.image_alpha.r}, v={e.image_beta.s}"
         )
     return m1 if m1.det() == 1 else m2
@@ -208,7 +192,7 @@ class TorusPoint:
 
     def __post_init__(self):
         if not (0 <= self.u < 1 and 0 <= self.v < 1):
-            raise OutOfDomain(f"torus point ({self.u}, {self.v}) outside [0,1)x[0,1)")
+            raise DomainError(f"torus point ({self.u}, {self.v}) outside [0,1)x[0,1)")
 
 
 @dataclass(frozen=True, order=True)
@@ -218,7 +202,7 @@ class KleinPoint:
 
     def __post_init__(self):
         if not (0 <= self.u < HALF and 0 <= self.v < 1):
-            raise OutOfDomain(f"Klein point ({self.u}, {self.v}) outside [0,1/2)x[0,1)")
+            raise DomainError(f"Klein point ({self.u}, {self.v}) outside [0,1/2)x[0,1)")
 
 
 def deck(p: TorusPoint) -> TorusPoint:
@@ -231,7 +215,7 @@ def lift_configuration(points: Iterable[KleinPoint]) -> list[TorusPoint]:
     lifts to an iota-orbit {p, iota(p)}; the result has 2k distinct points."""
     pts = list(points)
     if len(set(pts)) != len(pts):
-        raise DuplicatePoint("configuration points must be pairwise distinct")
+        raise DomainError("configuration points must be pairwise distinct")
     lifted: set[TorusPoint] = set()
     for p in pts:
         q = TorusPoint(p.u, p.v)

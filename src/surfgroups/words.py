@@ -19,26 +19,24 @@ DEFAULT_REWRITE_BUDGET = 10**6
 DEFAULT_NF_BUDGET = 10**6
 
 
-class WordError(ValueError):
-    """Base class for word/presentation errors."""
+class DomainError(ValueError):
+    """An input outside what the library answers: a refusal, not a bug.
+
+    Every refusal of outside input raises this type or a subclass of it
+    (`WordParseError`, `NormalFormTooLarge`); the CLI exits 1 on it, or 2 on
+    a `WordParseError`.  A plain `ValueError` marks a broken internal
+    invariant, which only a bug can trip, and the CLI lets it propagate.
+    """
 
 
-class UnknownGenerator(WordError):
-    pass
-
-
-class AlphabetMismatch(WordError):
-    pass
-
-
-class WordParseError(WordError):
+class WordParseError(DomainError):
     def __init__(self, message: str, token: str, column: int):
         super().__init__(f"{message}: {token!r} at column {column}")
         self.token = token
         self.column = column
 
 
-class NormalFormTooLarge(WordError):
+class NormalFormTooLarge(DomainError):
     """A product would exceed the normal-form size budget."""
 
 
@@ -52,7 +50,7 @@ class Generator:
 
     def __post_init__(self):
         if not GENERATOR_NAME.fullmatch(self.name):
-            raise UnknownGenerator(f"invalid generator name: {self.name!r}")
+            raise DomainError(f"invalid generator name: {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ class Alphabet:
     def __post_init__(self):
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
-            raise WordError(f"duplicate generator names: {names}")
+            raise DomainError(f"duplicate generator names: {names}")
 
     @classmethod
     def of(cls, *names: str) -> "Alphabet":
@@ -101,7 +99,7 @@ def reduce_syllables(
     stack: list[list] = []
     for name, exp in raw:
         if alphabet is not None and name not in alphabet:
-            raise UnknownGenerator(f"generator {name!r} not in alphabet {alphabet.names}")
+            raise DomainError(f"generator {name!r} not in alphabet {alphabet.names}")
         if exp == 0:
             continue
         if stack and stack[-1][0] == name:
@@ -125,7 +123,7 @@ class FreeWord:
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
-            raise AlphabetMismatch(
+            raise DomainError(
                 f"cannot multiply words over {self.alphabet.names} and {other.alphabet.names}"
             )
         # Both factors are reduced, so only the seam where they meet can cancel.
@@ -266,7 +264,7 @@ class Presentation:
     def __post_init__(self):
         for rel in self.relators:
             if rel.alphabet != self.alphabet:
-                raise AlphabetMismatch(f"relator {rel} not over {self.alphabet.names}")
+                raise DomainError(f"relator {rel} not over {self.alphabet.names}")
 
     @classmethod
     def parse(cls, alphabet: Alphabet, relator_texts: Iterable[str]) -> "Presentation":
@@ -302,15 +300,15 @@ class GroupHom:
     def __post_init__(self):
         missing = [n for n in self.source.alphabet.names if n not in self.images]
         if missing:
-            raise WordError(f"generators without images: {missing}")
+            raise DomainError(f"generators without images: {missing}")
         stray = [n for n in self.images if n not in self.source.alphabet]
         if stray:
-            raise WordError(f"images of names outside the alphabet: {stray}")
+            raise DomainError(f"images of names outside the alphabet: {stray}")
 
     def evaluate(self, w: FreeWord):
         """Multiplicative extension of the generator images."""
         if w.alphabet != self.source.alphabet:
-            raise AlphabetMismatch(f"word {w} not over the source alphabet")
+            raise DomainError(f"word {w} not over the source alphabet")
         return fold(self.images, self.identity, w.syllables)
 
     def verify(self) -> HomReport:

@@ -11,6 +11,7 @@ from surfgroups.abelian import (
     nab_quotient_orientable,
     smith_normal_form,
 )
+from surfgroups.words import DomainError
 
 from conftest import deadline
 
@@ -174,9 +175,9 @@ class TestValidation:
         ],
     )
     def test_rejects_non_integer_matrices(self, mat, where):
-        with pytest.raises(ValueError, match=where):
+        with pytest.raises(DomainError, match=where):
             smith_normal_form(mat)
-        with pytest.raises(ValueError, match=where):
+        with pytest.raises(DomainError, match=where):
             cokernel(mat)
 
     def test_accepts_empty_and_tuple_matrices(self):
@@ -197,8 +198,9 @@ class TestAbelianGroup:
         assert AbelianGroup.from_diagonal((), 0) == AbelianGroup(0, ())
 
     def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             AbelianGroup(0, (4, 6))
+        assert not isinstance(raised.value, DomainError)  # an invariant, not a refusal
 
 
 class TestFiberQuotients:
@@ -219,17 +221,17 @@ class TestFiberQuotients:
                 assert nab_quotient_nonorientable(g, k) == AbelianGroup(g - 1, (2,))
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="g >= 1 and k >= 1"):
             nab_quotient_orientable(0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="g >= 1 and k >= 1"):
             nab_quotient_nonorientable(1, 0)
 
     def test_size_bound(self):
         assert nab_quotient_orientable(100, 100) == AbelianGroup(200, ())
         assert nab_quotient_nonorientable(100, 100) == AbelianGroup(99, (2,))
-        with pytest.raises(ValueError, match="g <= 100"):
+        with pytest.raises(DomainError, match="g <= 100"):
             nab_quotient_orientable(101, 1)
-        with pytest.raises(ValueError, match="k <= 100"):
+        with pytest.raises(DomainError, match="k <= 100"):
             nab_quotient_nonorientable(1, 101)
 
 

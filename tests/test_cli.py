@@ -1,14 +1,17 @@
+import io
 import json
 import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 import surfgroups
-from surfgroups import embeddings, klein, torusbraid
-from surfgroups.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, build_parser, main
+from surfgroups import dims, embeddings, klein, torusbraid
+from surfgroups.cli import ENGINES, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, build_parser, main
 from surfgroups.words import HomReport
 
 from conftest import deadline
@@ -42,6 +45,14 @@ HOM_SPEC = {
     "target": "b2t",
     "images": {"al": "a^-1*x^2", "be": "y*s^-1"},
 }
+
+# Input files that hold no JSON value, each with a phrase of its diagnostic.
+# The nesting is deeper than the JSON reader recurses.
+UNREADABLE_JSON = [
+    pytest.param(b"[" * 990 + b"]" * 990, "is nested too deeply", id="nested-990-deep"),
+    pytest.param(b'[[1, "\xff"]]', "can't decode byte 0xff", id="bad-utf-8"),
+    pytest.param(b"[[1, 2], [3", "Expecting ',' delimiter", id="truncated"),
+]
 
 
 def validate_data(data, command_def):
@@ -208,11 +219,12 @@ class TestAlgebraCommands:
             ('[[1, "a"], [2, 3]]', "row 0, column 1"),
             ("[1, 2]", "row 0"),
             ('{"a": 1}', "list of rows"),
+            *UNREADABLE_JSON,
         ],
     )
     def test_snf_rejects_malformed_matrix(self, capsys, tmp_path, text, where):
         mat = tmp_path / "mat.json"
-        mat.write_text(text)
+        mat.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, env = run_json(capsys, "snf", "--matrix", str(mat))
         assert code == EXIT_DOMAIN
         assert env["status"] == "error"
@@ -313,11 +325,12 @@ class TestVerification:
                 {"alphabet": ["al"], "relators": [], "target": "klein", "images": {"al": 1}},
                 "field 'images' must be",
             ),
+            *UNREADABLE_JSON,
         ],
     )
     def test_hom_check_rejects_malformed_spec(self, capsys, tmp_path, spec, message):
         path = tmp_path / "hom.json"
-        path.write_text(json.dumps(spec))
+        path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
         code, env = run_json(capsys, "hom-check", "--file", str(path))
         assert code == EXIT_DOMAIN
         assert message in env["diagnostics"][0]
@@ -488,13 +501,100 @@ def test_result_exponent_too_long_to_print(capsys, tmp_path, case, as_json):
     assert message.strip() == TOO_LONG_TO_PRINT
 
 
-def test_internal_key_error_is_not_a_domain_error(monkeypatch):
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_internal_key_error_is_not_a_domain_error(monkeypatch, error):
     def broken(args):
-        raise KeyError("internal")
+        raise error("internal")
 
     monkeypatch.setattr(surfgroups.cli, "cmd_mcgk", broken)
-    with pytest.raises(KeyError):
+    with pytest.raises(error):
         main(["mcgk"])
+
+
+# Word, point and number fields of at most 12 bytes: words and point lists in
+# their grammars, or any text over their characters, cut to 12 bytes.  Word
+# exponents stay within 10^5, where the slowest vector takes 0.8 s.  Just under
+# the normal-form budget, `inv --group b2t --word s^499999 --json` takes 1.3 s
+# on an idle 2-CPU Xeon and 2.5 s beside another test run, so a 2 s deadline
+# there would fail by load.  The examples below cover the refusal over the
+# budget.
+TEXT = st.text(alphabet="albexysB1234567890*^-/,.;E ", max_size=12)
+COORD = st.integers(-9, 99).map(str) | st.builds(
+    "{}/{}".format, st.integers(-9, 99), st.integers(0, 99)
+)
+POINTS = st.lists(st.builds("{},{}".format, COORD, COORD), max_size=3).map(";".join)
+NUMBER = st.integers(-3, 120).map(str) | st.integers(-(10**10), 10**11).map(str) | TEXT
+
+
+def field(alphabet):
+    """A word over the alphabet, a point list or any text, cut to 12 bytes."""
+    name = st.sampled_from(alphabet.names)
+    term = st.builds("{}^{}".format, name, st.integers(-(10**5), 10**5)) | name
+    word = st.lists(term, min_size=1, max_size=3).map("*".join)
+    return st.one_of(word, POINTS, TEXT).map(lambda text: text[:12])
+
+
+def engine_argvs(group):
+    word = field(ENGINES[group].alphabet)
+    return st.one_of(
+        word.map(lambda w: ["nf", "--group", group, "--word", w]),
+        word.map(lambda w: ["inv", "--group", group, "--word", w]),
+        st.lists(word, min_size=1, max_size=3).map(lambda ws: ["mul", "--group", group, *ws]),
+    )
+
+
+# An argument vector for every subcommand but snf and hom-check, which read files.
+SHORT_ARGVS = st.one_of(
+    *map(engine_argvs, sorted(ENGINES)),
+    st.builds(
+        lambda w, f: ["phi1", "--word", w, *f],
+        field(klein.KLEIN_ALPHABET), st.sampled_from([[], ["--closed-form"]]),
+    ),
+    st.builds(lambda n: ["ball", "--radius", n], NUMBER),
+    st.builds(lambda f: ["mcgk", *f], st.sampled_from([[], ["--table"]])),
+    st.builds(lambda p: ["lift", "--points", p], field(klein.KLEIN_ALPHABET)),
+    st.builds(
+        lambda s, g, k: ["nab", "--surface", s, "-g", g, "-k", k],
+        st.sampled_from(["orientable", "nonorientable"]), NUMBER, NUMBER,
+    ),
+    st.builds(
+        lambda s, g, k, grp, q: ["dims", "--surface", s, *g, "-k", k, "--group", grp, "--quantity", q],
+        st.sampled_from([dims.ORIENTABLE, dims.NONORIENTABLE, *dims.NAMED_SURFACES]),
+        st.one_of(st.just([]), NUMBER.map(lambda g: ["-g", g])),
+        NUMBER,
+        st.sampled_from(dims.GROUPS),
+        st.sampled_from(dims.QUANTITIES),
+    ),
+    st.builds(lambda n, s: ["verify-presentations", "--fuzz", n, "--seed", s], NUMBER, NUMBER),
+)
+
+
+@given(SHORT_ARGVS, st.booleans())
+@settings(max_examples=300, deadline=None)
+# Each refusal of these subcommands, so none can turn into a bare ValueError
+# unseen.
+@example(["nf", "--group", "b2t", "--word", "s^999999999"], True)
+@example(["nab", "--surface", "orientable", "-g", "0", "-k", "1"], True)
+@example(["nab", "--surface", "nonorientable", "-g", "1", "-k", "101"], False)
+@example(["ball", "--radius", "-1"], True)
+@example(["ball", "--radius", "65"], False)
+@example(["lift", "--points", "1/2,0"], True)
+@example(["lift", "--points", "0,0;0,0"], False)
+@example(["dims", "--surface", "nonorientable", "-g", "0", "--group", "mcg", "--quantity", "vcd"], True)
+@example(["dims", "--surface", "orientable", "-g", "-1", "--group", "braid", "--quantity", "cd"], False)
+@example(["dims", "--surface", "torus", "-k", "-1", "--group", "mcg", "--quantity", "vcd"], True)
+@example(["dims", "--surface", "orientable", "--group", "mcg", "--quantity", "vcd"], True)
+@example(["dims", "--surface", "sphere", "-g", "0", "--group", "mcg", "--quantity", "vcd"], False)
+@example(["verify-presentations", "--fuzz", "-1"], True)
+def test_short_argument_vectors_exit_0_1_or_2(argv, as_json):
+    """Every refusal is a DomainError or a usage error: no other exception
+    escapes main, and no field of at most 12 bytes hangs it."""
+    out, err = io.StringIO(), io.StringIO()
+    with deadline(2.0), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--json"] * as_json)
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_PARSE)
+    if as_json:
+        Draft202012Validator(ENVELOPE).validate(json.loads(out.getvalue()))
 
 
 def readme_commands():

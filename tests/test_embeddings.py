@@ -11,12 +11,8 @@ from surfgroups.embeddings import (
     PHI1_IMAGE_ALPHA,
     PHI1_IMAGE_BETA,
     BallReport,
-    DuplicatePoint,
     IntMat2,
     KleinPoint,
-    NonAutomorphism,
-    NotLiftable,
-    OutOfDomain,
     TorusPoint,
     certify_injectivity_ball,
     deck,
@@ -30,6 +26,7 @@ from surfgroups.embeddings import (
 )
 from surfgroups.klein import ALPHA, BETA, E1, E2, E3, E4, MCG_K, KleinElement, KleinEndo
 from surfgroups.torusbraid import GEN_A, GEN_B, GEN_X, GEN_Y, IDENTITY, SIGMA, B2TElement, XY
+from surfgroups.words import DomainError
 
 from conftest import random_klein
 
@@ -206,9 +203,9 @@ class TestInjectivityBall:
         assert calls == 0  # at most one per element; the closed form needs none
 
     def test_bound_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="radius 100 exceeds configured bound 64"):
             certify_injectivity_ball(100)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="exceeds configured bound"):
             certify_injectivity_ball(DEFAULT_BALL_BOUND + 1)
 
 
@@ -230,17 +227,17 @@ class TestLiftMatrices:
 
     def test_even_beta_exponent_not_liftable(self):
         e = KleinEndo(ALPHA, KleinElement(0, 2))  # be -> be^2
-        with pytest.raises(NotLiftable):
+        with pytest.raises(DomainError, match="even be-exponent 2; no lift exists"):
             lift_matrices(e)
 
     def test_alpha_image_must_be_alpha_power(self):
         e = KleinEndo(KleinElement(1, 1), BETA)
-        with pytest.raises(NotLiftable):
+        with pytest.raises(DomainError, match="image of al must be a power of al"):
             lift_matrices(e)
 
     def test_non_automorphism_rejected_for_sl2(self):
         e = KleinEndo(KleinElement(2, 0), BETA)  # al -> al^2
-        with pytest.raises(NonAutomorphism):
+        with pytest.raises(DomainError, match=r"SL\(2, Z\) image requires \|r\| = \|v\| = 1"):
             induced_sl2(e)
 
     @pytest.mark.parametrize("ea", [1, -1])
@@ -285,13 +282,13 @@ class TestConfigurationLifting:
 
     def test_duplicates_rejected(self):
         p = KleinPoint(F(1, 8), F(1, 3))
-        with pytest.raises(DuplicatePoint):
+        with pytest.raises(DomainError, match="points must be pairwise distinct"):
             lift_configuration([p, p])
 
     def test_domain_enforced(self):
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(DomainError, match=r"Klein point \(1/2, 0\) outside"):
             KleinPoint(F(1, 2), F(0))
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(DomainError, match=r"torus point \(0, 1\) outside"):
             TorusPoint(F(0), F(1))
 
     def test_deck_is_an_involution(self, rng):

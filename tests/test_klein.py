@@ -17,7 +17,7 @@ from surfgroups.klein import (
     mcg_compose,
     klein_rewrite_rules,
 )
-from surfgroups.words import oracle_normal_form
+from surfgroups.words import DomainError, oracle_normal_form
 
 from conftest import random_klein
 
@@ -113,8 +113,9 @@ class TestEndos:
         assert raw.outer_class() == E1
 
     def test_outer_class_rejects_non_automorphisms(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             KleinEndo(KleinElement(2, 0), BETA).outer_class()
+        assert not isinstance(raised.value, DomainError)  # an invariant, not a refusal
 
     def test_apply_is_multiplicative(self, rng):
         for e in MCG_K:

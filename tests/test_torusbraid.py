@@ -23,7 +23,7 @@ from surfgroups.torusbraid import (
     p2t_central_rules,
     verify_all_presentations,
 )
-from surfgroups.words import Alphabet, Presentation, commutator, oracle_normal_form
+from surfgroups.words import Alphabet, DomainError, Presentation, commutator, oracle_normal_form
 
 from conftest import random_b2t, random_word
 
@@ -36,6 +36,12 @@ b2t_elements = st.builds(
     st.integers(-8, 8),
     st.integers(0, 1),
 )
+
+
+def test_eps_outside_0_1_is_an_invariant_not_a_refusal():
+    with pytest.raises(ValueError, match="eps must be 0 or 1, got 2") as raised:
+        B2TElement(IDENTITY.w, 0, 0, 2)
+    assert not isinstance(raised.value, DomainError)
 
 
 class TestMultiplication:
