@@ -9,6 +9,7 @@ exception is a bug and propagates with a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -34,10 +35,18 @@ class _UsageError(Exception):
     """An argparse usage error, raised to `main` instead of exiting: (prog, message)."""
 
 
+class _HelpShown(Exception):
+    """argparse printed the help, raised to `main` instead of exiting."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(self.prog, message)
+
+    def exit(self, status=0, message=None):
+        # With `error` overridden, only the help action exits.
+        raise _HelpShown()
 
 
 # Command functions return result objects (elements, words, groups, answers,
@@ -286,60 +295,64 @@ def cmd_verify_presentations(args) -> dict:
     return data
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and then shared
+    by every later call in the process; callers must not mutate it.  It holds
+    no command functions: `main` looks up `cmd_<name>` by the parsed
+    subcommand name at call time."""
     parser = _Parser(
         prog="surfgroups",
         description="Exact normal-form computations for surface braid and mapping class groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit a JSON result envelope")
-        p.set_defaults(func=func)
         return p
 
-    p = add("nf", cmd_nf, "normal form of a word in an engine")
+    p = add("nf", "normal form of a word in an engine")
     p.add_argument("--group", choices=sorted(ENGINES), required=True)
     p.add_argument("--word", required=True)
 
-    p = add("mul", cmd_mul, "product of words in an engine")
+    p = add("mul", "product of words in an engine")
     p.add_argument("--group", choices=sorted(ENGINES), required=True)
     p.add_argument("words", nargs="+", metavar="WORD")
 
-    p = add("inv", cmd_inv, "inverse of a word in an engine")
+    p = add("inv", "inverse of a word in an engine")
     p.add_argument("--group", choices=sorted(ENGINES), required=True)
     p.add_argument("--word", required=True)
 
-    p = add("hom-check", cmd_hom_check, "verify a homomorphism on relators from a JSON file")
+    p = add("hom-check", "verify a homomorphism on relators from a JSON file")
     p.add_argument("--file", required=True)
 
-    p = add("phi1", cmd_phi1, "embed a Klein-bottle group element into the torus braid group")
+    p = add("phi1", "embed a Klein-bottle group element into the torus braid group")
     p.add_argument("--word", required=True, help="word over al, be")
     p.add_argument("--closed-form", action="store_true", help="also report the closed form")
 
-    p = add("ball", cmd_ball, "certify injectivity of the embedding on a ball")
+    p = add("ball", "certify injectivity of the embedding on a ball")
     p.add_argument("--radius", type=int, required=True)
 
-    p = add("mcgk", cmd_mcgk, "Klein-bottle mapping classes and their SL(2,Z) images")
+    p = add("mcgk", "Klein-bottle mapping classes and their SL(2,Z) images")
     p.add_argument("--table", action="store_true", help="include the composition table")
 
-    p = add("lift", cmd_lift, "lift a point configuration through the double cover")
+    p = add("lift", "lift a point configuration through the double cover")
     p.add_argument(
         "--points", required=True,
         help="semicolon-separated 'u,v' rational pairs, as fractions or decimals without exponent",
     )
 
-    p = add("snf", cmd_snf, "Smith normal form of an integer matrix from a JSON file")
+    p = add("snf", "Smith normal form of an integer matrix from a JSON file")
     p.add_argument("--matrix", required=True)
     p.add_argument("--transforms", action="store_true")
 
-    p = add("nab", cmd_nab, "abelianised fiber quotient for a punctured surface")
+    p = add("nab", "abelianised fiber quotient for a punctured surface")
     p.add_argument("--surface", choices=["orientable", "nonorientable"], required=True)
     p.add_argument("-g", "--genus", type=int, required=True)
     p.add_argument("-k", "--punctures", type=int, required=True)
 
-    p = add("dims", cmd_dims, "cohomological dimension oracle")
+    p = add("dims", "cohomological dimension oracle")
     p.add_argument(
         "--surface",
         choices=[dims.ORIENTABLE, dims.NONORIENTABLE, *dims.NAMED_SURFACES],
@@ -350,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=list(dims.GROUPS), required=True)
     p.add_argument("--quantity", choices=list(dims.QUANTITIES), required=True)
 
-    p = add("verify-presentations", cmd_verify_presentations, "verify all shipped presentations")
+    p = add("verify-presentations", "verify all shipped presentations")
     p.add_argument("--fuzz", type=int, default=0, metavar="N", help="random homomorphism samples")
     p.add_argument("--seed", type=int, default=0)
 
@@ -409,9 +422,12 @@ def main(argv: list[str] | None = None) -> int:
         prog, message = exc.args
         _emit_error(message, "--json" in argv, f"{prog}: error")
         return EXIT_PARSE
+    except _HelpShown:  # argparse printed the help to stdout already
+        return EXIT_OK
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     as_json = args.json
     try:
-        text = _render(args.func(args), as_json)
+        text = _render(command(args), as_json)
     except WordParseError as exc:
         _emit_error(str(exc), as_json)
         return EXIT_PARSE

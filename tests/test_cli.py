@@ -11,6 +11,7 @@ from jsonschema import Draft202012Validator
 
 import surfgroups
 from surfgroups import dims, embeddings, klein, torusbraid
+from surfgroups import cli
 from surfgroups.cli import ENGINES, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, build_parser, main
 from surfgroups.words import HomReport
 
@@ -107,9 +108,7 @@ class TestNormalForms:
         assert captured.err.endswith(
             "\nsurfgroups nf: error: the following arguments are required: --word\n"
         )
-        with pytest.raises(SystemExit) as exc:
-            main(["nf", "--help"])
-        assert exc.value.code == 0
+        assert main(["nf", "--help"]) == EXIT_OK
 
     def test_unknown_generator_names_column(self, capsys):
         code = main(["nf", "--group", "klein", "--word", "al*qq", "--json"])
@@ -621,6 +620,81 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch, argv):
         validate_data(env["data"]["report"], "homReport")
     else:
         validate_data(env["data"], DATA_SCHEMAS.get(argv[0], argv[0]))
+
+
+def outcome(argv):
+    """Exit code, stdout and stderr of one in-process `main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# One argument vector per subcommand; a subcommand with an optional flag or
+# option comes twice, with it and then without, so a value left over from the
+# call before would show.
+REUSE_BASES = [
+    ["nf", "--group", "klein", "--word", "be*al*be"],
+    ["nf", "--group", "b2t", "--word", "s*x^2*a^-1"],
+    ["mul", "--group", "p2t", "x*y", "a^-1*B", "b"],
+    ["inv", "--group", "b2t", "--word", "s"],
+    ["hom-check", "--file", "hom.json"],
+    ["phi1", "--word", "al^2*be^4", "--closed-form"],
+    ["phi1", "--word", "be^3"],
+    ["ball", "--radius", "2"],
+    ["mcgk", "--table"],
+    ["mcgk"],
+    ["lift", "--points", "1/4,1/3;0,1/2"],
+    ["snf", "--transforms", "--matrix", "mat.json"],
+    ["snf", "--matrix", "mat.json"],
+    ["nab", "--surface", "nonorientable", "-g", "3", "-k", "2"],
+    ["dims", "--surface", "orientable", "-g", "2", "-k", "3", "--group", "mcg", "--quantity", "vcd"],
+    ["dims", "--surface", "torus", "--group", "braid", "--quantity", "cd"],
+    ["verify-presentations", "--fuzz", "3", "--seed", "5"],
+    ["verify-presentations"],
+]
+
+# Every base in text and --json mode, the modes alternating and flipped in
+# the second half, with a usage error with and without --json, a word parse
+# error, a domain error and the help between them.
+REUSE_ARGVS = [
+    *(argv + ["--json"] * (i % 2) for i, argv in enumerate(REUSE_BASES)),
+    ["nf", "--group", "klein", "--json"],
+    ["nf", "--group", "klein"],
+    ["nf", "--group", "klein", "--word", "al**be"],
+    ["ball", "--radius", "65", "--json"],
+    ["--help"],
+    ["nf", "--help"],
+    *(argv + ["--json"] * (1 - i % 2) for i, argv in enumerate(REUSE_BASES)),
+    ["mul", "--group", "klein", "--json"],
+    ["inv", "--group", "klein", "--word", "al*zz", "--json"],
+    ["lift", "--points", "1/2,0"],
+]
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):
+    """Slow oracle: every call with the shared parser, run twice over, prints
+    and exits exactly as the same call through a parser built for it alone."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mat.json").write_text("[[2, 4, 1], [6, 8, 3], [1, 1, 1]]")
+    (tmp_path / "hom.json").write_text(json.dumps(HOM_SPEC))
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        expected = [outcome(argv) for argv in REUSE_ARGVS]
+    assert {code for code, _, _ in expected} == {EXIT_OK, EXIT_DOMAIN, EXIT_PARSE}
+    for _ in range(2):
+        assert [outcome(argv) for argv in REUSE_ARGVS] == expected
+    assert cli.build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["nf", "--help"]], ids=" ".join)
+def test_help_prints_the_same_text_and_exits_ok(argv):
+    parser = build_parser.__wrapped__()
+    if argv[0] == "nf":
+        (subcommands,) = [a for a in parser._actions if a.dest == "command"]
+        parser = subcommands.choices["nf"]
+    for _ in range(3):
+        assert outcome(argv) == (EXIT_OK, parser.format_help(), "")
 
 
 def test_public_surface_is_pinned():
