@@ -9,14 +9,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Iterator
 
 GENERATOR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 DEFAULT_REWRITE_BUDGET = 10**6
 
-# Largest free word, in syllables, that a product may build.
+# Largest free word, in syllables, that a product may build, and, in letters,
+# that the rewrite oracle takes as input.
 DEFAULT_NF_BUDGET = 10**6
+
+# The rewrite oracle's character for letter 0 (chr(48) is "0").
+_CODE_BASE = 48
 
 
 class DomainError(ValueError):
@@ -331,56 +336,77 @@ def oracle_normal_form(
     lowest rule index among those at that position) until none applies,
     free-reducing between steps.  The caller is responsible for supplying a
     terminating, confluent rule list; a step budget guards against accidental
-    non-termination.
+    non-termination, and a word over `DEFAULT_NF_BUDGET` letters is refused
+    before it is expanded.
+
+    The word is rewritten as one `str`, one character per letter: generator j
+    with sign e becomes chr(_CODE_BASE + 2j + (e < 0)), so a letter and its inverse
+    differ only in bit 0.  The names of `w.alphabet` are numbered first, then
+    any other names the rules use, so a rule letter outside the alphabet
+    never matches a letter of `w`; a foreign letter that a rhs brings in
+    reaches the final `w.alphabet.word` and is refused there.
+
+    The rules' left-hand sides form one regex alternation, in rule order.  A
+    search tries the alternatives in order at each position before it moves
+    to the next, so the first match is at the leftmost position where any
+    lhs matches, and is the lowest-index rule there: the same rewrite, step by
+    step, as a scan over positions and then rules.  A repeated lhs keeps the
+    first rule's rhs, as the scan does.
+
+    A step costs one search, started just before the rewritten spot, and one
+    rebuild of the string by slicing.  The head before the match, the rhs and
+    the tail after it are each freely reduced, so free reduction cancels only
+    outward from the two seams where they meet.
     """
-    rule_list = [  # empty left-hand sides never apply
-        (list(r.lhs.letters()), list(r.rhs.letters())) for r in rules if r.lhs.syllables
-    ]
-    longest = max((len(lhs) for lhs, _ in rule_list), default=0)
-    letters = list(w.letters())
-    steps = 0
-    start = 0
-    while True:
-        found = next(
-            (
-                (i, lhs, rhs)
-                for i in range(start, len(letters))
-                for lhs, rhs in rule_list
-                if letters[i : i + len(lhs)] == lhs
-            ),
-            None,
+    size = w.length()
+    if size > DEFAULT_NF_BUDGET:
+        raise NormalFormTooLarge(
+            f"word has {size} letters, over the budget of {DEFAULT_NF_BUDGET}"
         )
-        if found is None:
-            break
-        i, lhs, rhs = found
-        # No window inside the surviving prefix matched before, so none does now.
-        letters, kept = _free_reduce_letters(letters[:i], rhs, letters[i + len(lhs) :])
-        start = max(0, kept - (longest - 1))
-        steps += 1
-        if steps > max_steps:
-            raise RewriteBudgetExceeded(f"exceeded {max_steps} rewrite steps")
-    return w.alphabet.word(letters)
+    index = {name: j for j, name in enumerate(w.alphabet.names)}
 
+    def encode(word: FreeWord) -> str:
+        return "".join(
+            chr(_CODE_BASE + 2 * index.setdefault(name, len(index)) + (e < 0)) * abs(e)
+            for name, e in word.syllables
+        )
 
-def _free_reduce_letters(
-    head: list[tuple[str, int]], middle: list[tuple[str, int]], tail: list[tuple[str, int]]
-) -> tuple[list[tuple[str, int]], int]:
-    """Freely reduce head + middle + tail, where head and tail are reduced,
-    extending head in place.  Also return how long a prefix of head survives
-    unchanged."""
-    stack = head
-    kept = len(head)
-    for let in middle:
-        if stack and stack[-1][0] == let[0] and stack[-1][1] == -let[1]:
-            stack.pop()
-        else:
-            stack.append(let)
-        kept = min(kept, len(stack))
-    # tail is reduced, so it cancels only where it meets the stack.
-    j = 0
-    while stack and j < len(tail) and stack[-1][0] == tail[j][0] and stack[-1][1] == -tail[j][1]:
-        stack.pop()
-        j += 1
-    kept = min(kept, len(stack))
-    stack.extend(tail[j:])
-    return stack, kept
+    rhs_of: dict[str, str] = {}
+    for r in rules:
+        lhs = encode(r.lhs)
+        rhs = encode(r.rhs)
+        if lhs:  # empty left-hand sides never apply
+            rhs_of.setdefault(lhs, rhs)
+    s = encode(w)
+    if rhs_of:
+        search = re.compile("|".join(map(re.escape, rhs_of))).search
+        back = max(map(len, rhs_of)) - 1
+        steps = 0
+        match = search(s)
+        while match is not None:
+            i, j = match.span()
+            rhs = rhs_of[match.group()]
+            # Cancel the head's end against the rhs, then what is left of the
+            # rhs against the tail, and, once the rhs is used up, the head
+            # against the tail.
+            k = 0
+            while k < len(rhs) and i and ord(s[i - 1]) ^ ord(rhs[k]) == 1:
+                i -= 1
+                k += 1
+            m = len(rhs)
+            while m > k and j < len(s) and ord(rhs[m - 1]) ^ ord(s[j]) == 1:
+                m -= 1
+                j += 1
+            if m == k:
+                while i and j < len(s) and ord(s[i - 1]) ^ ord(s[j]) == 1:
+                    i -= 1
+                    j += 1
+            s = s[:i] + rhs[k:m] + s[j:]
+            steps += 1
+            if steps > max_steps:
+                raise RewriteBudgetExceeded(f"exceeded {max_steps} rewrite steps")
+            # No window inside the surviving head matched before, so none does now.
+            match = search(s, max(0, i - back))
+    names = list(index)
+    runs = ((ord(c) - _CODE_BASE, sum(1 for _ in run)) for c, run in groupby(s))
+    return w.alphabet.word((names[code >> 1], -n if code & 1 else n) for code, n in runs)

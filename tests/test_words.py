@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -8,6 +9,7 @@ from surfgroups.klein import (
     KLEIN_ALPHABET,
     KLEIN_IDENTITY,
     KLEIN_PRESENTATION,
+    KleinElement,
     from_word,
     klein_rewrite_rules,
 )
@@ -30,7 +32,7 @@ from surfgroups.words import (
     reduce_syllables,
 )
 
-from conftest import random_b2t, random_klein, random_word
+from conftest import deadline, random_b2t, random_klein, random_word
 
 AB = Alphabet.of("x", "y")
 
@@ -304,6 +306,62 @@ class TestRewriteOracle:
 
         with pytest.raises(RewriteBudgetExceeded):
             oracle_normal_form([rule], w("x"), max_steps=50)
+
+    def test_refuses_a_word_over_the_budget_before_expanding_it(self):
+        with deadline(1.0):
+            with pytest.raises(NormalFormTooLarge, match=f"budget of {DEFAULT_NF_BUDGET}"):
+                oracle_normal_form(klein_rewrite_rules(), KLEIN_ALPHABET.parse("be*al^999999999"))
+            at_budget = KLEIN_ALPHABET.gen("al", DEFAULT_NF_BUDGET)
+            assert oracle_normal_form(klein_rewrite_rules(), at_budget) == at_budget
+
+
+class TestOracleEncoding:
+    """Names that run into each other when spelled out, and rules that name
+    letters outside the word's alphabet, keep their meaning."""
+
+    def test_names_that_are_prefixes_of_each_other(self):
+        abc = Alphabet.of("a", "aa", "b")
+        rule = RewriteRule(abc.parse("a*a"), abc.parse("aa"))
+        assert oracle_normal_form([rule], abc.parse("a^3*aa")) == abc.parse("aa*a*aa")
+
+    def test_a_rule_letter_outside_the_alphabet_never_matches(self):
+        xz = Alphabet.of("x", "z")
+        assert oracle_normal_form([RewriteRule(xz.parse("z*x"), xz.parse("x"))], w("x*y")) == w("x*y")
+
+    def test_a_foreign_rhs_letter_is_refused(self):
+        xz = Alphabet.of("x", "z")
+        with pytest.raises(DomainError, match=r"^generator 'z' not in alphabet \('x', 'y'\)$"):
+            oracle_normal_form([RewriteRule(xz.parse("x"), xz.parse("z"))], w("x*y"))
+
+
+@pytest.mark.parametrize("signs", list(itertools.product((1, -1), repeat=4)))
+@pytest.mark.parametrize("mag", [5, 40])
+def test_klein_oracle_takes_one_step_per_be_al_pair(mag, signs):
+    """al^r*be^s*al^p*be^q reaches al^(r+-p)*be^(s+q) by moving each of the
+    |s| be-letters past each of the |p| al-letters once: |s|*|p| steps."""
+    r, s, p, q = (sign * mag for sign in signs)
+    word = KLEIN_ALPHABET.word([("al", r), ("be", s), ("al", p), ("be", q)])
+    steps = abs(s) * abs(p)
+    expected = (KleinElement(r, s) * KleinElement(p, q)).to_word()
+    assert oracle_normal_form(klein_rewrite_rules(), word, max_steps=steps) == expected
+    with pytest.raises(RewriteBudgetExceeded, match=f"^exceeded {steps - 1} rewrite steps$"):
+        oracle_normal_form(klein_rewrite_rules(), word, max_steps=steps - 1)
+
+
+@pytest.mark.parametrize(
+    "rules, word, expected",
+    [  # the head cancels into the rhs; the rhs into the tail; the head into the tail
+        ([("x^-1", "x"), ("y", "x^-1")], "x^-1*y", "1"),
+        ([("y^-1", "y")], "y^-2", "1"),
+        ([("x^-1", "1"), ("y^-1", "1")], "x^2*y^-1*x^-1", "x"),
+    ],
+)
+def test_a_rewrite_cancels_at_both_seams(rules, word, expected):
+    """A letter left uncancelled at a seam could match a rule and change the
+    later rewrites, although the final reduction would hide it."""
+    rules = [RewriteRule(w(lhs), w(rhs)) for lhs, rhs in rules]
+    assert rescan_oracle(rules, w(word), max_steps=20)[0] == w(expected)
+    assert oracle_normal_form(rules, w(word), max_steps=20) == w(expected)
 
 
 class TestPresentation:
