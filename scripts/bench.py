@@ -5,9 +5,12 @@ fixed seed list, one traced run per workload, and the tier-1 wall time.
 
 It runs `perfbench/run.py` for BENCHMARK.json's `run_seconds` once per
 workload and seed (1, 2, 3) with `--trace 0`, and once per workload with
-`--trace 1` on seed 1, about nine minutes in all.  Then it prints each
-metric's ratio to the newest earlier BENCH_*.json.  Measure the files to
-compare on the same machine.
+`--trace 1` on seed 1, about nine minutes in all.  Before and after those
+runs it times a fixed pure-Python loop (best of 5) and stores both times.
+Then it prints each metric's ratio to the newest earlier BENCH_*.json, the
+calibration loop's ratio first: a ratio across files measures the machine
+too, and a workload ratio near the calibration ratio is machine drift, not a
+change in the code.  Measure the files to compare on the same machine.
 """
 from __future__ import annotations
 
@@ -27,6 +30,19 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 SEEDS = (1, 2, 3)  # the same on every BENCH file, so that files compare
 SECONDS = SPEC["run_seconds"]
+
+
+def calibrate() -> float:
+    """Best of 5 wall times, in seconds, of a fixed pure-Python loop that
+    calls nothing from the repository."""
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        total = 0
+        for i in range(1_000_000):
+            total += i * i % 7
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def perfbench(workload: str, seed: int, trace: int) -> dict:
@@ -69,6 +85,10 @@ def previous(pr: int) -> Path | None:
 
 
 def print_ratios(bench: dict, base: dict) -> None:
+    for when, now in bench["calibration"].items():  # older files have no calibration
+        was = base.get("calibration", {}).get(when)
+        ratio = f"{now / was:8.3f}  ({was:.4g} -> {now:.4g})" if was else f"     n/a  (-> {now:.4g})"
+        print(f"calibration {when:<32} {ratio}")
     for name, new in bench["workloads"].items():
         old = base["workloads"].get(name, {})
         for kind in ("end_to_end", "per_layer"):
@@ -87,6 +107,7 @@ def main() -> int:
     # Uncommitted edits under src/ mean the numbers are not those of the commit.
     status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
                             capture_output=True, text=True)
+    before = calibrate()
     bench = {
         "commit": git.stdout.strip() or "unknown",
         "src_dirty": bool(status.stdout.strip()),
@@ -97,6 +118,7 @@ def main() -> int:
         "workloads": {w["name"]: run_workload(w["name"]) for w in SPEC["workloads"]},
         "tier1": tier1(),
     }
+    bench["calibration"] = {"before_s": before, "after_s": calibrate()}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out.name}")

@@ -1,10 +1,12 @@
 """Smith normal form over the integers and the abelianised-fiber quotients
 used for the braid-group cohomological dimension computations.
 
-Matrices are plain lists of rows of Python ints (arbitrary precision).  That
-does not make entry growth harmless: the elimination takes no step to keep
-entries small, so the transforms U and V can reach tens of thousands of bits
-on a 20 x 20 matrix with entries in +-50, and every step pays for them.
+Matrices are plain lists of rows of Python ints (arbitrary precision).  The
+elimination pivots on the entry of least absolute value and leaves remainders
+of at most half the pivot, which keeps entries small in practice: U and V stay
+within about a thousand bits on a 20 x 20 matrix with entries in +-50, and
+about 3,000 bits at 40 x 40.  Entry size has no proven polynomial bound,
+though, and no budget or refusal caps it yet (ROADMAP item 1 comes first).
 
 When transforms are requested, U and V live in the one working matrix: each
 row of the input carries the matching row of the identity to its right (U),
@@ -81,30 +83,54 @@ def _validate(mat: Sequence[Sequence[int]]) -> Matrix:
     return A
 
 
-def _unimodular(a: int, b: int) -> tuple[int, int, int, int]:
-    """(x, y, p, q) with x*q - y*p = 1, x*a + y*b = g = +-gcd(a, b) and
-    p*a + q*b = 0.  When a divides b it is (1, 0, -b//a, 1), which leaves a in
-    place: a step against an entry the pivot divides never moves the pivot."""
-    if a and b % a == 0:
-        return 1, 0, -b // a, 1
-    g, r, x, s, y, u = a, b, 1, 0, 0, 1
-    while r:
-        k = g // r
-        g, r, x, s, y, u = r, g - k * r, s, x - k * s, u, y - k * u
-    return x, y, -b // g, a // g
+def _sub_row(A: Matrix, i: int, t: int, q: int) -> None:
+    """Subtract q times row t from row i."""
+    A[i] = [u - q * v for u, v in zip(A[i], A[t])]
 
 
-def _mix_rows(M: Matrix, s: int, d: int, x: int, y: int, p: int, q: int) -> None:
-    """Replace rows s and d of M by x*row_s + y*row_d and p*row_s + q*row_d."""
-    rs, rd = M[s], M[d]
-    M[s] = [x * u + y * v for u, v in zip(rs, rd)]
-    M[d] = [p * u + q * v for u, v in zip(rs, rd)]
+def _sub_col(A: Matrix, j: int, t: int, q: int) -> None:
+    """Subtract q times column t from column j, in every row (V's too)."""
+    for row in A:
+        row[j] -= q * row[t]
+
+
+def _indivisible_row(A: Matrix, t: int, rows: int, cols: int) -> int | None:
+    """The first row below t with an entry right of column t that A[t][t]
+    does not divide (0 divides only 0), or None."""
+    d = A[t][t]
+    for i in range(t + 1, rows):
+        for x in A[i][t + 1 : cols]:
+            if x % d if d else x:
+                return i
+    return None
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]], transforms: bool = False) -> SNFResult:
     """Diagonalise by unimodular row/column operations.  The diagonal entries
     are nonnegative and form a divisibility chain; when requested, U and V
     satisfy U * M * V = D with det U, det V in {+1, -1}.
+
+    Pivoting (Havas-Majewski-Matthews, Exp. Math. 1998): while column t has
+    a nonzero entry below row t, swap the nonzero entry of least absolute
+    value in column t into A[t][t] and reduce every other entry a of the
+    column by its nearest quotient q = (2a + p) // (2p), so that the
+    remainder a - q*p has absolute value at most |p|/2; then the same for
+    row t with column steps.  Once both are clear, and |A[t][t]| != 1, the
+    first later row with an entry A[t][t] does not divide is added to row t.
+
+    Termination: once A[t][t] is nonzero it stays nonzero (a zero one takes
+    the row addition at most once), and |A[t][t]| never rises, since each
+    pivot is the least entry of a line through A[t][t].  A pass that keeps
+    |A[t][t]| swaps nothing (ties go to A[t][t]), so its nonzero remainders
+    stay in its own line and the next pass pivots on one of them; a row
+    addition brings in an entry A[t][t] does not divide, whose remainder is
+    nonzero.  So |A[t][t]| strictly falls within every two passes or the
+    lines are clear, and a positive integer falls finitely often.
+    Unimodularity: the only steps are row and column swaps, sign flips and
+    elementary steps that subtract q times one row (column) from another,
+    each of determinant +-1.  When t is done, A[t][t] divides every later
+    entry, and later steps keep that, so the diagonal is a divisibility
+    chain; it is the Smith form, which is unique.
     """
     A = _validate(mat)
     rows = len(A)
@@ -114,23 +140,30 @@ def smith_normal_form(mat: Sequence[Sequence[int]], transforms: bool = False) ->
 
     for t in range(min(rows, cols)):
         while True:
-            for i in range(t + 1, rows):  # row steps clear column t
-                if A[i][t]:
-                    _mix_rows(A, t, i, *_unimodular(A[t][t], A[i][t]))
-            for j in range(t + 1, cols):  # column steps clear row t
-                if A[t][j]:
-                    x, y, p, q = _unimodular(A[t][t], A[t][j])
-                    for row in A:
-                        row[t], row[j] = x * row[t] + y * row[j], p * row[t] + q * row[j]
-            if any([A[i][t] for i in range(t + 1, rows)]):
-                continue  # a column step lowered the pivot and refilled column t
-            # Add to row t a row with an entry the pivot does not divide (0
-            # divides only 0); the column steps then lower the pivot again.
-            d = A[t][t]
-            bad = [i for i in range(t + 1, rows) for x in A[i][t + 1 : cols] if (x % d if d else x)]
-            if not bad:
+            col = [(abs(A[i][t]), i) for i in range(t, rows) if A[i][t]]
+            if col and col[-1][1] > t:  # row steps clear column t
+                p = min(col)[1]
+                A[t], A[p] = A[p], A[t]
+                d = A[t][t]
+                for i in range(t + 1, rows):
+                    if A[i][t]:
+                        _sub_row(A, i, t, (2 * A[i][t] + d) // (2 * d))
+                continue
+            row = [(abs(A[t][j]), j) for j in range(t, cols) if A[t][j]]
+            if row and row[-1][1] > t:  # column steps clear row t
+                p = min(row)[1]
+                if p != t:
+                    for line in A:
+                        line[t], line[p] = line[p], line[t]
+                d = A[t][t]
+                for j in range(t + 1, cols):
+                    if A[t][j]:
+                        _sub_col(A, j, t, (2 * A[t][j] + d) // (2 * d))
+                continue
+            i = None if A[t][t] in (1, -1) else _indivisible_row(A, t, rows, cols)
+            if i is None:
                 break
-            A[t] = [u + v for u, v in zip(A[t], A[bad[0]])]
+            _sub_row(A, t, i, -1)
         if A[t][t] < 0:
             A[t] = [-u for u in A[t]]
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 from math import gcd, prod
 
@@ -6,6 +7,7 @@ import pytest
 
 from surfgroups.abelian import (
     AbelianGroup,
+    SNFResult,
     cokernel,
     nab_quotient_nonorientable,
     nab_quotient_orientable,
@@ -120,18 +122,51 @@ class TestSmithNormalForm:
         assert result.diagonal == diagonal
         _check_transforms(mat, result)
 
-    @pytest.mark.parametrize("n, bound", [(12, 50), (20, 5)])
+    @pytest.mark.parametrize("n, bound", [(12, 50), (20, 5), (32, 50), (40, 50)])
     @pytest.mark.parametrize("seed", range(5))
     def test_large_random_matrices_finish_in_time(self, n, bound, seed):
         rng = random.Random(1000 * n + seed)
         mat = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        with deadline(2):
-            result = smith_normal_form(mat, transforms=True)
-            assert smith_normal_form(mat).diagonal == result.diagonal
-        _check_transforms(mat, result)
-        det = _det(mat)
-        if det:
-            assert prod(result.diagonal) == abs(det)
+        _check_large(mat)
+
+    def test_seed_1_40x40_finishes_in_time(self):
+        # Gcd-step elimination without pivoting ran for over a minute here.
+        rng = random.Random(1)
+        _check_large([[rng.randint(-50, 50) for _ in range(40)] for _ in range(40)])
+
+    def test_agrees_with_gcd_step_oracle(self, rng):
+        """Diagonals match the reference elimination on small matrices of
+        every kind, and the transforms of both are exact and unimodular."""
+        for mat in _small_matrices(rng, 300):
+            with deadline(2):
+                expected = gcd_step_snf(mat, transforms=True)
+                result = smith_normal_form(mat, transforms=True)
+                assert smith_normal_form(mat).diagonal == expected.diagonal
+            assert result.diagonal == expected.diagonal
+            assert gcd_step_snf(mat).diagonal == expected.diagonal
+            if mat[0]:
+                _check_transforms(mat, expected)
+                _check_transforms(mat, result)
+
+    def test_row_and_column_steps_are_calls_on_the_working_matrix(self):
+        """perfbench's work budget reads the local A of smith_normal_form on
+        every Python call, so each elimination step must be a call on A."""
+        rng = random.Random(12)
+        mat = [[rng.randint(-50, 50) for _ in range(12)] for _ in range(12)]
+        steps = []
+
+        def hook(frame, event, arg):
+            caller = frame.f_back
+            if caller.f_code.co_name == "smith_normal_form" and frame.f_code.co_name in ("_sub_row", "_sub_col"):
+                steps.append(frame.f_locals["A"] is caller.f_locals["A"])
+
+        previous = sys.gettrace()
+        sys.settrace(hook)
+        try:
+            smith_normal_form(mat, transforms=True)
+        finally:
+            sys.settrace(previous)
+        assert len(steps) >= 11 * 12 and all(steps)
 
     def test_invariant_under_unimodular_scrambling(self, rng):
         for _ in range(20):
@@ -240,6 +275,105 @@ def test_bareiss_det_matches_cofactor_expansion(rng):
         n = rng.randint(1, 5)
         mat = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
         assert _det(mat) == _cofactor_det(mat)
+
+
+def _unimodular(a, b):
+    """(x, y, p, q) with x*q - y*p = 1, x*a + y*b = g = +-gcd(a, b) and
+    p*a + q*b = 0.  When a divides b it is (1, 0, -b//a, 1), which leaves a in
+    place: a step against an entry the pivot divides never moves the pivot."""
+    if a and b % a == 0:
+        return 1, 0, -b // a, 1
+    g, r, x, s, y, u = a, b, 1, 0, 0, 1
+    while r:
+        k = g // r
+        g, r, x, s, y, u = r, g - k * r, s, x - k * s, u, y - k * u
+    return x, y, -b // g, a // g
+
+
+def _mix_rows(M, s, d, x, y, p, q):
+    """Replace rows s and d of M by x*row_s + y*row_d and p*row_s + q*row_d."""
+    rs, rd = M[s], M[d]
+    M[s] = [x * u + y * v for u, v in zip(rs, rd)]
+    M[d] = [p * u + q * v for u, v in zip(rs, rd)]
+
+
+def gcd_step_snf(mat, transforms=False):
+    """Slow oracle: Smith normal form by extended-gcd steps in place of
+    least-remainder pivoting.  Each step replaces the pivot by the gcd of it
+    and one entry, with no step to keep entries small, so entries can grow
+    exponentially; use it on small matrices only."""
+    A = [list(row) for row in mat]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    if transforms:  # U rides to the right of A's rows and V below them
+        A = [row + e for row, e in zip(A, _identity(rows))] + _identity(cols)
+    for t in range(min(rows, cols)):
+        while True:
+            for i in range(t + 1, rows):  # row steps clear column t
+                if A[i][t]:
+                    _mix_rows(A, t, i, *_unimodular(A[t][t], A[i][t]))
+            for j in range(t + 1, cols):  # column steps clear row t
+                if A[t][j]:
+                    x, y, p, q = _unimodular(A[t][t], A[t][j])
+                    for row in A:
+                        row[t], row[j] = x * row[t] + y * row[j], p * row[t] + q * row[j]
+            if any(A[i][t] for i in range(t + 1, rows)):
+                continue  # a column step lowered the pivot and refilled column t
+            # Add to row t a row with an entry the pivot does not divide (0
+            # divides only 0); the column steps then lower the pivot again.
+            d = A[t][t]
+            bad = [i for i in range(t + 1, rows) for x in A[i][t + 1 : cols] if (x % d if d else x)]
+            if not bad:
+                break
+            A[t] = [u + v for u, v in zip(A[t], A[bad[0]])]
+        if A[t][t] < 0:
+            A[t] = [-u for u in A[t]]
+    diagonal = tuple(A[i][i] for i in range(min(rows, cols)))
+    if not transforms:
+        return SNFResult(diagonal)
+    return SNFResult(diagonal, tuple(tuple(row[cols:]) for row in A[:rows]), tuple(map(tuple, A[rows:])))
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _small_matrices(rng, count):
+    """Random matrices up to 6 x 6, of every kind in turn: dense, sparse,
+    of lower rank, one row, one column, zero, and with no columns."""
+    for k in range(count):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        kind = k % 7
+        if kind == 0:
+            yield [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        elif kind == 1:
+            yield [[rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(c)] for _ in range(r)]
+        elif kind == 2:  # a product through a smaller inner dimension
+            inner = rng.randint(1, max(1, min(r, c) - 1))
+            left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(r)]
+            right = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(inner)]
+            yield _mul(left, right)
+        elif kind == 3:
+            yield [[rng.randint(-9, 9) for _ in range(c)]]
+        elif kind == 4:
+            yield [[rng.randint(-9, 9)] for _ in range(r)]
+        elif kind == 5:
+            yield [[0] * c for _ in range(r)]
+        else:
+            yield [[] for _ in range(r)]
+
+
+def _check_large(mat):
+    """Both calls finish within the deadline, the transforms are exact and
+    unimodular, and no entry of U or V reaches 2^16 bits."""
+    with deadline(2):
+        result = smith_normal_form(mat, transforms=True)
+        assert smith_normal_form(mat).diagonal == result.diagonal
+    assert max(abs(x).bit_length() for m in (result.U, result.V) for row in m for x in row) < 1 << 16
+    _check_transforms(mat, result)
+    det = _det(mat)
+    if det:
+        assert prod(result.diagonal) == abs(det)
 
 
 def _check_transforms(mat, result):
