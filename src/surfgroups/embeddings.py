@@ -5,7 +5,8 @@ point-set lifting through the orientable double cover.
 The embedding is computed by its closed form, and is injective on all of
 Z^2: `phi1_retract` is a left inverse of the closed form, and its docstring
 proves that the closed form is phi1.  The ball certificate is a finite
-cross-check of the same fact.
+cross-check of the same fact.  The closed form's free parts are built once
+per r and shared; their cache holds at most 2 * DEFAULT_BALL_BOUND + 1 rows.
 
 The covering is modelled flatly on (R/Z)^2 with the free orientation-
 reversing involution iota(u, v) = (u + 1/2 mod 1, -v mod 1); the quotient is
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .klein import KLEIN_PRESENTATION, MCG_K, KleinElement, KleinEndo
@@ -42,16 +44,30 @@ def phi1(u: KleinElement) -> B2TElement:
     return phi1_closed_form(u.r, u.s)
 
 
+@lru_cache(maxsize=2 * DEFAULT_BALL_BOUND + 1)
+def _closed_form_words(r: int) -> tuple[FreeWord, FreeWord]:
+    """The free parts of phi1(al^r be^s): x^(2r) for even s, and
+    x^(2r+1) y x^-1 for odd s."""
+    # x^(2r) * y * B^-1 reduces to x^(2r+1) * y * x^-1; 2r + 1 is never 0.
+    return (
+        FreeWord(XY, (("x", 2 * r),) if r else ()),
+        FreeWord(XY, (("x", 2 * r + 1), ("y", 1), ("x", -1))),
+    )
+
+
 def phi1_closed_form(r: int, s: int) -> B2TElement:
     """Direct normal form of phi1(al^r be^s):
     x^(2r) a^-r b^(s/2) when s is even, and x^(2r) y a^-r b^((s-1)/2) s^-1
     when s is odd, with the trailing s^-1 canonicalised as B^-1 s.
+
+    Every call with the same r shares one immutable free part; the cache
+    holds the last 2 * DEFAULT_BALL_BOUND + 1 values of r, one per row of
+    the largest ball, so the ball certificate builds each row's words once.
     """
+    even, odd = _closed_form_words(r)
     if s % 2 == 0:
-        return B2TElement(FreeWord(XY, (("x", 2 * r),) if r else ()), -r, s // 2, 0)
-    # x^(2r) * y * B^-1 reduces to x^(2r+1) * y * x^-1; 2r + 1 is never 0.
-    word = FreeWord(XY, (("x", 2 * r + 1), ("y", 1), ("x", -1)))
-    return B2TElement(word, -r, (s - 1) // 2, 1)
+        return B2TElement(even, -r, s // 2, 0)
+    return B2TElement(odd, -r, (s - 1) // 2, 1)
 
 
 def phi1_retract(g: B2TElement) -> KleinElement | None:

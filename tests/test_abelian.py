@@ -5,6 +5,7 @@ from math import gcd, prod
 
 import pytest
 
+from surfgroups import abelian
 from surfgroups.abelian import (
     AbelianGroup,
     SNFResult,
@@ -172,6 +173,37 @@ class TestSmithNormalForm:
         names = [name for name, _ in steps]
         assert names.count("_sub_row") >= 11 and names.count("_sub_col") >= 11
         assert all(same for _, same in steps)
+
+    @pytest.mark.parametrize("transforms", [False, True])
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_each_step_leaves_at_most_half_the_pivot(self, monkeypatch, n, transforms):
+        """Every row or column step reduces by the nearest quotient, so the
+        entry it clears keeps at most half of |A[t][t]|.  The row addition,
+        whose target is row t itself, is exempt."""
+        sub_row, sub_col = abelian._sub_row, abelian._sub_col
+        checked = 0
+
+        def checked_row(A, i, t, q):
+            nonlocal checked
+            sub_row(A, i, t, q)
+            if i > t:
+                assert 2 * abs(A[i][t]) <= abs(A[t][t]), (i, t, q)
+                checked += 1
+
+        def checked_col(A, j, t, q):
+            nonlocal checked
+            sub_col(A, j, t, q)
+            assert 2 * abs(A[t][j]) <= abs(A[t][t]), (j, t, q)
+            checked += 1
+
+        monkeypatch.setattr(abelian, "_sub_row", checked_row)
+        monkeypatch.setattr(abelian, "_sub_col", checked_col)
+        rng = random.Random(n)  # the same matrices with and without transforms
+        for _ in range(5):
+            mat = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+            with deadline(2):
+                smith_normal_form(mat, transforms=transforms)
+        assert checked >= 5 * 2 * (n - 1)  # clearing column 0 and row 0 alone
 
     def test_invariant_under_unimodular_scrambling(self, rng):
         for _ in range(20):

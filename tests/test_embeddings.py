@@ -96,6 +96,38 @@ class TestClosedForm:
                 assert phi1_closed_form(r, s) == PHI1_HOM.evaluate(KleinElement(r, s).to_word())
 
 
+class TestClosedFormCache:
+    """The free parts of the closed form are built once per r and shared."""
+
+    def test_one_build_per_row_of_the_certificate(self):
+        embeddings._closed_form_words.cache_clear()
+        assert certify_injectivity_ball(8).passed
+        assert embeddings._closed_form_words.cache_info().misses == 17
+
+    def test_free_parts_are_shared_per_r(self):
+        assert phi1_closed_form(5, 0).w is phi1_closed_form(5, 2).w
+        assert phi1_closed_form(5, 1).w is phi1_closed_form(5, -3).w
+
+    @pytest.mark.parametrize("s", [-3, 0, 1, 4])
+    @pytest.mark.parametrize("r", [65, -65, 10**6, -(10**6), 2**70])
+    def test_agrees_with_phi1_beyond_the_cache_bound(self, r, s):
+        assert phi1_closed_form(r, s) == PHI1_HOM.evaluate(KleinElement(r, s).to_word())
+
+    def test_agrees_with_phi1_on_the_ball_after_eviction(self):
+        words = embeddings._closed_form_words
+        maxsize = words.cache_parameters()["maxsize"]
+        R = DEFAULT_BALL_BOUND
+        assert maxsize == 2 * R + 1
+        words.cache_clear()
+        for r in range(R + 1, R + 2 + maxsize):  # maxsize + 1 values off the ball
+            phi1_closed_form(r, 0)
+        assert words.cache_info().hits == 0
+        for r in range(-R, R + 1):
+            for s in range(-R, R + 1):
+                assert phi1_closed_form(r, s) == PHI1_HOM.evaluate(KleinElement(r, s).to_word())
+        assert words.cache_info().misses == maxsize + 1 + 2 * R + 1
+
+
 BIG = 10**20
 STEP_RS = [*range(-3, 4), BIG, -BIG]
 STEP_SS = [*range(-4, 5), BIG, BIG + 1, -BIG, -BIG - 1]
