@@ -77,7 +77,13 @@ class B2TElement:
         return self * other == other * self
 
     def is_central(self) -> bool:
-        return all(self.commutes_with(g) for g in GENERATORS)
+        """The center is <a, b>: w = 1 and eps = 0.
+
+        Proof: a and b are central by relators (b)-(d) and (f).  For eps = 0,
+        commuting with x and y puts w in C(x) & C(y) = <x> & <y> = 1 in F2.
+        For eps = 1, g*x*g^-1 has a-exponent 1, and x has 0.
+        """
+        return self.w.is_identity() and self.eps == 0
 
     def __str__(self) -> str:
         central = (("a", self.m), ("b", self.n), ("s", self.eps))
@@ -99,8 +105,6 @@ FULL_TWIST = B2TElement(B_WORD, 0, 0, 0)  # B = s^2
 
 # s^-1 = B^-1 * s, the canonical coset representative with eps = 1.
 SIGMA_INV = B2TElement(B_INV_WORD, 0, 0, 1)
-
-GENERATORS = (GEN_X, GEN_Y, GEN_A, GEN_B, SIGMA)
 
 # Images of the letters of B2T_ALPHABET; B is the full twist [x, y^-1].
 B2T_IMAGES = {"x": GEN_X, "y": GEN_Y, "a": GEN_A, "b": GEN_B, "s": SIGMA, "B": FULL_TWIST}

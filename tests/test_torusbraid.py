@@ -112,10 +112,17 @@ class TestCenter:
         assert not SIGMA.is_central()
 
     def test_center_is_exactly_the_central_lattice(self, rng):
-        for _ in range(200):
-            u = random_b2t(rng, word_len=6)
-            expected = u.w.is_identity() and u.eps == 0
+        """The closed form against the products: u is central iff it commutes
+        with every generator.  Free parts are often empty, so that about a
+        third of the elements are central and eps alone decides many."""
+        generators = (GEN_X, GEN_Y, GEN_A, GEN_B, SIGMA)
+        central = 0
+        for _ in range(2000):
+            u = random_b2t(rng, word_len=rng.choice([0, 0, 2, 6]))
+            expected = all(u * g == g * u for g in generators)
             assert u.is_central() == expected
+            central += expected
+        assert 400 < central < 1600
 
     def test_central_lattice_commutes_with_random_elements(self, rng):
         for _ in range(500):
