@@ -10,7 +10,9 @@ runs it times a fixed pure-Python loop (best of 5) and stores both times.
 Then it prints each metric's ratio to the newest earlier BENCH_*.json, the
 calibration loop's ratio first: a ratio across files measures the machine
 too, and a workload ratio near the calibration ratio is machine drift, not a
-change in the code.  Measure the files to compare on the same machine.
+change in the code.  Measure the files to compare on the same machine.  When
+that file is not BENCH_<pr-1>.json, it first names the PRs the ratios span,
+for example "ratios to BENCH_19.json span PRs 20–21".
 """
 from __future__ import annotations
 
@@ -124,6 +126,10 @@ def main() -> int:
     print(f"wrote {out.name}")
     base_path = previous(args.pr)
     if base_path is not None:
+        base_pr = int(base_path.stem.split("_")[1])
+        if base_pr != args.pr - 1:
+            # Every change since base_pr lands in these ratios, not only this one.
+            print(f"ratios to {base_path.name} span PRs {base_pr + 1}\u2013{args.pr}")
         print(f"ratios to {base_path.name} (new / old)")
         print_ratios(bench, json.loads(base_path.read_text()))
     return 0

@@ -35,9 +35,6 @@ class KleinElement:
     def __pow__(self, n: int) -> "KleinElement":
         return power(self, n, KLEIN_IDENTITY)
 
-    def commutes_with(self, other: "KleinElement") -> bool:
-        return self * other == other * self
-
     def is_central(self) -> bool:
         # Z = <be^2>: the center is exactly {al^0 be^s : s even}.
         return self.r == 0 and self.s % 2 == 0

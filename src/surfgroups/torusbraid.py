@@ -21,7 +21,6 @@ from .words import (
     commutator,
     fold,
     format_word,
-    power,
 )
 
 XY = Alphabet.of("x", "y")
@@ -65,16 +64,36 @@ class B2TElement:
         return B2TElement(w, self.m + other.m + dm, self.n + other.n + dn, self.eps ^ other.eps)
 
     def inverse(self) -> "B2TElement":
-        pure_inv = B2TElement(self.w.inverse(), -self.m, -self.n, 0)
+        """For eps = 1, (w*a^m*b^n*s)^-1 = B^-1*u*rev(w)*u^-1*a^(-m-i)*b^(-n-j)*s,
+        where rev(w) is w's syllables in reverse order, exponents unchanged.
+
+        Proof: s^-1 = B^-1*s, as s^2 = B, and a, b are central, so the inverse
+        is B^-1*(s*w^-1*s^-1)*a^-m*b^-n*s.  Conjugation by s sends w^-1 to
+        u*rev(w)*u^-1*a^-i*b^-j (see `conjugate_by_sigma`): negating each
+        exponent of w^-1 gives rev(w), and the exponent sums of w^-1 are -i
+        and -j.
+        """
         if self.eps == 0:
-            return pure_inv
-        return SIGMA_INV * pure_inv
+            return B2TElement(self.w.inverse(), -self.m, -self.n, 0)
+        syl = self.w.syllables
+        i = sum(k for name, k in syl if name == "x")
+        j = sum(k for name, k in syl if name == "y")
+        rev = FreeWord(XY, syl[::-1])
+        return B2TElement(B_INV_WORD * U_WORD * rev * U_INV_WORD, -self.m - i, -self.n - j, 1)
 
     def __pow__(self, k: int) -> "B2TElement":
-        return power(self, k, IDENTITY)
-
-    def commutes_with(self, other: "B2TElement") -> bool:
-        return self * other == other * self
+        """For eps = 0, (w, m, n, 0)^k = (w^k, m*k, n*k, 0) for every k, as a
+        and b are central.  For eps = 1 and k >= 0, g^(2q+r) = (g*g)^q * g^r
+        with r in {0, 1}, and g*g has eps = 0; a negative k powers the
+        inverse.  g*g is built only when q > 0.
+        """
+        if self.eps == 0:
+            return B2TElement(self.w ** k, self.m * k, self.n * k, 0)
+        if k < 0:
+            return self.inverse() ** -k
+        q, r = divmod(k, 2)
+        square = (self * self) ** q if q else IDENTITY
+        return square * self if r else square
 
     def is_central(self) -> bool:
         """The center is <a, b>: w = 1 and eps = 0.
@@ -88,11 +107,6 @@ class B2TElement:
     def __str__(self) -> str:
         central = (("a", self.m), ("b", self.n), ("s", self.eps))
         return format_word(self.w.syllables + tuple(syl for syl in central if syl[1]))
-
-
-def p2t(w: FreeWord, m: int = 0, n: int = 0) -> B2TElement:
-    """An element of the pure braid group (the eps = 0 slice)."""
-    return B2TElement(w, m, n, 0)
 
 
 IDENTITY = B2TElement(XY.identity(), 0, 0, 0)

@@ -9,6 +9,23 @@ from surfgroups.torusbraid import XY, B2TElement
 from surfgroups.words import Alphabet, FreeWord
 
 
+def letters(w: FreeWord):
+    """Yield (name, +-1) letter by letter."""
+    for name, exp in w.syllables:
+        step = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            yield (name, step)
+
+
+def failures(report) -> list[str]:
+    """The relators a `HomReport` records as failed, as text."""
+    return [str(rel) for rel, ok in report.results if not ok]
+
+
+def commutes_with(u, v) -> bool:
+    return u * v == v * u
+
+
 def random_word(rng: random.Random, alphabet: Alphabet, max_len: int = 16) -> FreeWord:
     raw = [
         (rng.choice(alphabet.names), rng.choice([-3, -2, -1, 1, 2, 3]))

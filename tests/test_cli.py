@@ -2,6 +2,7 @@ import io
 import json
 import shlex
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import surfgroups
 from surfgroups import dims, embeddings, klein, torusbraid
 from surfgroups import cli
 from surfgroups.cli import ENGINES, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, build_parser, main
-from surfgroups.words import HomReport
+from surfgroups.words import Alphabet, HomReport
 
 from conftest import deadline
 
@@ -433,6 +434,9 @@ class TestTextOutput:
             "fixes the genus",
         ),
         (["nab", "--surface", "nonorientable", "-g", "1", "-k", "101"], EXIT_OK, '"display": "Z/2"'),
+        # The inverse fits the budget, though s^-1 times the product-form
+        # inverse of s^-499999 would have 1,000,002 syllables.
+        (["inv", "--group", "b2t", "--word", "s^-499999"], EXIT_OK, '"eps": 1'),
     ],
 )
 def test_short_inputs_finish_in_time(capsys, argv, code, needle):
@@ -514,12 +518,16 @@ def test_internal_key_error_is_not_a_domain_error(monkeypatch, error):
 
 
 # Word, point and number fields of at most 12 bytes: words and point lists in
-# their grammars, or any text over their characters, cut to 12 bytes.  Word
-# exponents stay within 10^5, where the slowest vector takes 0.8 s.  Just under
-# the normal-form budget, `inv --group b2t --word s^499999 --json` takes 1.3 s
-# on an idle 2-CPU Xeon and 2.5 s beside another test run, so a 2 s deadline
-# there would fail by load.  The examples below cover the refusal over the
-# budget.
+# their grammars, or any text over their characters, cut to 12 bytes.  `nf` and
+# `inv` take word exponents up to 10^10, all that 12 bytes can write; with
+# closed-form powers and inverses their slowest known field, `s*B^-250000` in
+# `nf --group b2t`, takes 0.64 s on an idle 2-CPU Xeon.  `mul` and `hom-check`
+# make one near-budget product per word or relator letter, with no cap per
+# command: `mul --group b2t s*B^249999 s^-499999 s*B^249999` takes 1.45 s
+# idle, and a b2t spec with images s^499999, s^-499999 and three 3-letter
+# relators 1.77 s.  So their exponents stay within 10^5, where the slowest
+# spec found takes 0.81 s.  The examples cover inputs near and over the
+# normal-form budget.
 TEXT = st.text(alphabet="albexysB1234567890*^-/,.;E ", max_size=12)
 COORD = st.integers(-9, 99).map(str) | st.builds(
     "{}/{}".format, st.integers(-9, 99), st.integers(0, 99)
@@ -528,26 +536,49 @@ POINTS = st.lists(st.builds("{},{}".format, COORD, COORD), max_size=3).map(";".j
 NUMBER = st.integers(-3, 120).map(str) | st.integers(-(10**10), 10**11).map(str) | TEXT
 
 
-def field(alphabet):
-    """A word over the alphabet, a point list or any text, cut to 12 bytes."""
+def field(alphabet, bound=10**10):
+    """A word over the alphabet with exponents within +-bound, a point list
+    or any text, cut to 12 bytes."""
     name = st.sampled_from(alphabet.names)
-    term = st.builds("{}^{}".format, name, st.integers(-(10**5), 10**5)) | name
+    term = st.builds("{}^{}".format, name, st.integers(-bound, bound)) | name
     word = st.lists(term, min_size=1, max_size=3).map("*".join)
     return st.one_of(word, POINTS, TEXT).map(lambda text: text[:12])
 
 
 def engine_argvs(group):
-    word = field(ENGINES[group].alphabet)
+    word, small = field(ENGINES[group].alphabet), field(ENGINES[group].alphabet, 10**5)
     return st.one_of(
         word.map(lambda w: ["nf", "--group", group, "--word", w]),
         word.map(lambda w: ["inv", "--group", group, "--word", w]),
-        st.lists(word, min_size=1, max_size=3).map(lambda ws: ["mul", "--group", group, *ws]),
+        st.lists(small, min_size=1, max_size=3).map(lambda ws: ["mul", "--group", group, *ws]),
     )
 
 
-# An argument vector for every subcommand but snf and hom-check, which read files.
+# A hom-check spec over generators t and u, as a dict in place of the file
+# name; the test writes it to a file.
+HOM_NAMES = Alphabet.of("t", "u")
+HOM_SPECS = st.sampled_from(sorted(ENGINES)).flatmap(
+    lambda group: st.fixed_dictionaries(
+        {
+            "alphabet": st.just(list(HOM_NAMES.names)),
+            "relators": st.lists(field(HOM_NAMES, 10**5), min_size=1, max_size=3),
+            "target": st.just(group),
+            "images": st.fixed_dictionaries(
+                {name: field(ENGINES[group].alphabet, 10**5) for name in HOM_NAMES.names}
+            ),
+        }
+    )
+)
+
+
+def hom_spec(group, relators, **images):
+    return {"alphabet": ["t", "u"], "relators": relators, "target": group, "images": images}
+
+
+# An argument vector for every subcommand but snf, which reads a matrix file.
 SHORT_ARGVS = st.one_of(
     *map(engine_argvs, sorted(ENGINES)),
+    HOM_SPECS.map(lambda spec: ["hom-check", "--file", spec]),
     st.builds(
         lambda w, f: ["phi1", "--word", w, *f],
         field(klein.KLEIN_ALPHABET), st.sampled_from([[], ["--closed-form"]]),
@@ -573,9 +604,15 @@ SHORT_ARGVS = st.one_of(
 
 @given(SHORT_ARGVS, st.booleans())
 @settings(max_examples=300, deadline=None)
-# Each refusal of these subcommands, so none can turn into a bare ValueError
-# unseen.
+# Inputs near and over the normal-form budget, and each refusal of these
+# subcommands, so none can turn into a bare ValueError unseen.
 @example(["nf", "--group", "b2t", "--word", "s^999999999"], True)
+@example(["nf", "--group", "b2t", "--word", "s^2000001"], False)
+@example(["inv", "--group", "b2t", "--word", "s^499999"], True)
+@example(["inv", "--group", "p2t", "--word", "B^250000"], True)
+@example(["mul", "--group", "b2t", "s^499999", "s^-499999", "s^499999"], True)
+@example(["hom-check", "--file", hom_spec("b2t", ["t*u*t", "u^2*t"], t="s*B^99999", u="B^-99999*s")], True)
+@example(["hom-check", "--file", hom_spec("p2t", ["t^9"], t="B^99999", u="x")], False)
 @example(["nab", "--surface", "orientable", "-g", "0", "-k", "1"], True)
 @example(["nab", "--surface", "nonorientable", "-g", "1", "-k", "0"], False)
 @example(["ball", "--radius", "-1"], True)
@@ -590,10 +627,17 @@ SHORT_ARGVS = st.one_of(
 @example(["verify-presentations", "--fuzz", "-1"], True)
 def test_short_argument_vectors_exit_0_1_or_2(argv, as_json):
     """Every refusal is a DomainError or a usage error: no other exception
-    escapes main, and no field of at most 12 bytes hangs it."""
+    escapes main, and no field of at most 12 bytes hangs it.  A dict in argv
+    is a hom-check spec, written to a file first."""
     out, err = io.StringIO(), io.StringIO()
-    with deadline(2.0), redirect_stdout(out), redirect_stderr(err):
-        code = main(argv + ["--json"] * as_json)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "hom.json"
+        for arg in argv:
+            if isinstance(arg, dict):
+                spec.write_text(json.dumps(arg))
+        argv = [str(spec) if isinstance(arg, dict) else arg for arg in argv]
+        with deadline(2.0), redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--json"] * as_json)
     assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_PARSE)
     if as_json:
         Draft202012Validator(ENVELOPE).validate(json.loads(out.getvalue()))

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from surfgroups.torusbraid import (
     B2T_ALPHABET,
+    B2T_IMAGES,
     B_WORD,
     FULL_TWIST,
     GEN_A,
@@ -17,15 +18,22 @@ from surfgroups.torusbraid import (
     B2TElement,
     conjugate_by_sigma,
     from_word,
-    p2t,
     PRESENTATIONS,
     PRESENTATION_HOMS,
     p2t_central_rules,
     verify_all_presentations,
 )
-from surfgroups.words import Alphabet, DomainError, Presentation, commutator, oracle_normal_form
+from surfgroups.words import (
+    Alphabet,
+    DomainError,
+    NormalFormTooLarge,
+    Presentation,
+    commutator,
+    oracle_normal_form,
+    power,
+)
 
-from conftest import random_b2t, random_word
+from conftest import deadline, failures, letters, random_b2t, random_word
 
 b2t_elements = st.builds(
     B2TElement,
@@ -36,6 +44,11 @@ b2t_elements = st.builds(
     st.integers(-8, 8),
     st.integers(0, 1),
 )
+
+
+def p2t(w, m: int = 0, n: int = 0) -> B2TElement:
+    """An element of the pure braid group (the eps = 0 slice)."""
+    return B2TElement(w, m, n, 0)
 
 
 def test_eps_outside_0_1_is_an_invariant_not_a_refusal():
@@ -100,6 +113,55 @@ class TestInverse:
         assert (u.inverse() * u).is_identity()
 
 
+class TestClosedForms:
+    """`**` and `inverse()` against their slow oracles: `words.power` and the
+    product-form inverse s^-1 * (w^-1, -m, -n, 0)."""
+
+    @staticmethod
+    def product_form_inverse(g):
+        pure_inv = B2TElement(g.w.inverse(), -g.m, -g.n, 0)
+        return SIGMA_INV * pure_inv if g.eps else pure_inv
+
+    def test_power_matches_square_and_multiply(self, rng):
+        for eps in (0, 1):
+            for _ in range(1000):
+                g = random_b2t(rng, word_len=rng.choice([0, 1, 2, 6, 16]))
+                g = B2TElement(g.w, g.m, g.n, eps)
+                k = rng.randint(-9, 9)
+                assert g ** k == power(g, k, IDENTITY)
+
+    def test_inverse_matches_product_form(self, rng):
+        for eps in (0, 1):
+            for _ in range(1000):
+                g = random_b2t(rng, word_len=rng.choice([0, 1, 2, 6, 16]))
+                g = B2TElement(g.w, g.m, g.n, eps)
+                assert g.inverse() == self.product_form_inverse(g)
+
+    def test_from_word_reaches_the_closed_form(self, rng):
+        for _ in range(200):
+            gen, k = rng.choice("xyabsB"), rng.randint(-40, 40)
+            expected = power(B2T_IMAGES[gen], k, IDENTITY)
+            assert from_word(B2T_ALPHABET.word([(gen, k)])) == expected
+
+    def test_a_power_builds_no_square_it_does_not_need(self):
+        """g fits the budget and g * g does not; g^1, g^-1 and g^0 need no
+        square."""
+        g = B2TElement(XY.parse("x*y") ** 300_000, 0, 0, 1)
+        with pytest.raises(NormalFormTooLarge):
+            g * g
+        assert g ** 1 == g
+        assert g ** -1 == g.inverse()
+        assert g ** 0 == IDENTITY
+
+    def test_near_budget_power_and_inverse_finish(self):
+        with deadline(2.0):
+            g = SIGMA ** 499_999
+            assert g == from_word(B2T_ALPHABET.parse("s^499999"))
+            assert (g * g.inverse()).is_identity()
+        with deadline(1.0), pytest.raises(NormalFormTooLarge, match="have 4000000 syllables"):
+            SIGMA ** 2_000_001
+
+
 class TestCenter:
     def test_a_and_b_central(self):
         assert GEN_A.is_central()
@@ -142,7 +204,7 @@ def letterwise_conjugate(w):
     }
     result = XY.identity()
     dm = dn = 0
-    for letter in w.letters():
+    for letter in letters(w):
         img, da, db = table[letter]
         result = result * img
         dm += da
@@ -303,18 +365,18 @@ def oracle_presentations():
 class TestPresentations:
     def test_full_group_relations(self):
         report = verify_all_presentations()["full_group"]
-        assert report.passed, report.failures()
+        assert report.passed, failures(report)
 
     def test_surface_generator_relations_and_useful_relations(self):
         report = verify_all_presentations()["surface_generators"]
-        assert report.passed, report.failures()
+        assert report.passed, failures(report)
         # Five presentation relations (one split into two relators) plus the
         # two derived relations.
         assert len(report.results) == 8
 
     def test_intermediate_relations(self):
         report = verify_all_presentations()["delta_tau"]
-        assert report.passed, report.failures()
+        assert report.passed, failures(report)
 
     def test_all_reports(self):
         reports = verify_all_presentations()

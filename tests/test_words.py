@@ -29,10 +29,11 @@ from surfgroups.words import (
     fold,
     oracle_normal_form,
     parse_word,
+    power,
     reduce_syllables,
 )
 
-from conftest import deadline, random_b2t, random_klein, random_word
+from conftest import deadline, failures, letters, random_b2t, random_klein, random_word
 
 AB = Alphabet.of("x", "y")
 
@@ -194,6 +195,60 @@ class TestPowerAndFold:
         assert hom.verify().passed
 
 
+class TestClosedFormPower:
+    """`FreeWord ** k` against `words.power`, the generic square-and-multiply."""
+
+    @pytest.mark.parametrize(
+        "text, cube",
+        [
+            ("1", "1"),                                        # the empty word
+            ("x^3", "x^9"),                                    # one syllable
+            ("x*y", "x*y*x*y*x*y"),                            # end names differ
+            ("x^2*y*x^-3", "x^2*y*x^-1*y*x^-1*y*x^-3"),        # merging ends
+            ("x*y^2*x^-1", "x*y^6*x^-1"),                      # stripped conjugator
+        ],
+    )
+    def test_each_shape(self, text, cube):
+        word = w(text)
+        assert word ** 3 == w(cube) == power(word, 3, AB.identity())
+        for k in range(-9, 10):
+            assert word ** k == power(word, k, AB.identity())
+
+    def test_matches_square_and_multiply(self, rng):
+        """Random words, half of them conjugated so that the ends strip."""
+        for _ in range(2000):
+            word = random_word(rng, AB, rng.choice([1, 2, 3, 8]))
+            if rng.random() < 0.5:
+                p = random_word(rng, AB, 4)
+                word = p * word * p.inverse()
+            k = rng.randint(-9, 9)
+            assert word ** k == power(word, k, AB.identity())
+
+    # (word, k, syllables of word^k): 2k, 2k + 1 and a constant 5.
+    @pytest.mark.parametrize(
+        "text, k, size",
+        [
+            ("x*y", DEFAULT_NF_BUDGET // 2, DEFAULT_NF_BUDGET),
+            ("x*y*x", DEFAULT_NF_BUDGET // 2 - 1, DEFAULT_NF_BUDGET - 1),
+            ("y*x*y^2*x^-1*y^-1", 10**15, 5),
+        ],
+    )
+    def test_builds_up_to_the_budget(self, text, k, size):
+        assert len((w(text) ** k).syllables) == size
+
+    @pytest.mark.parametrize(
+        "text, k, size",
+        [
+            ("x*y", DEFAULT_NF_BUDGET // 2 + 1, DEFAULT_NF_BUDGET + 2),
+            ("x*y*x", DEFAULT_NF_BUDGET // 2, DEFAULT_NF_BUDGET + 1),
+            ("x*y", 10**12, 2 * 10**12),
+        ],
+    )
+    def test_refuses_over_the_budget_before_building(self, text, k, size):
+        with deadline(1.0), pytest.raises(NormalFormTooLarge, match=f"have {size} syllables"):
+            w(text) ** k
+
+
 class TestParsing:
     def test_round_trip(self):
         for text in ["1", "x", "x^-1", "x^2*y^-3*x"]:
@@ -249,7 +304,7 @@ class TestHom:
         hom = GroupHom(KLEIN_PRESENTATION, {"al": alpha, "be": alpha}, identity=KLEIN_IDENTITY)
         report = hom.verify()
         assert not report.passed
-        assert report.failures() == ["al*be*al*be^-1"]
+        assert failures(report) == ["al*be*al*be^-1"]
 
     def test_stray_image_rejected(self):
         alpha = from_word(KLEIN_ALPHABET.parse("al"))
@@ -375,8 +430,8 @@ def rescan_oracle(rules, w, max_steps):
     """The full-rescan loop that oracle_normal_form replaced: after every
     rewrite, search the whole word again for the leftmost match.  Returns the
     normal form and the number of rewrite steps taken."""
-    rule_list = [(tuple(r.lhs.letters()), tuple(r.rhs.letters())) for r in rules]
-    letters = list(w.letters())
+    rule_list = [(tuple(letters(r.lhs)), tuple(letters(r.rhs))) for r in rules]
+    word = list(letters(w))
     steps = 0
     while True:
         best = None  # (position, rule index)
@@ -384,8 +439,8 @@ def rescan_oracle(rules, w, max_steps):
             k = len(lhs)
             if k == 0:
                 continue
-            for i in range(len(letters) - k + 1):
-                if tuple(letters[i : i + k]) == lhs:
+            for i in range(len(word) - k + 1):
+                if tuple(word[i : i + k]) == lhs:
                     if best is None or i < best[0]:
                         best = (i, ri)
                     break
@@ -393,18 +448,18 @@ def rescan_oracle(rules, w, max_steps):
             break
         i, ri = best
         lhs, rhs = rule_list[ri]
-        letters[i : i + len(lhs)] = list(rhs)
+        word[i : i + len(lhs)] = list(rhs)
         stack = []
-        for let in letters:
+        for let in word:
             if stack and stack[-1][0] == let[0] and stack[-1][1] == -let[1]:
                 stack.pop()
             else:
                 stack.append(let)
-        letters = stack
+        word = stack
         steps += 1
         if steps > max_steps:
             raise RewriteBudgetExceeded(f"exceeded {max_steps} rewrite steps")
-    return w.alphabet.word(letters), steps
+    return w.alphabet.word(word), steps
 
 
 short_syllables = st.tuples(st.sampled_from(["x", "y"]), st.sampled_from([-2, -1, 1, 2]))
