@@ -21,6 +21,7 @@ from .words import (
     commutator,
     fold,
     format_word,
+    _negate,
 )
 
 XY = Alphabet.of("x", "y")
@@ -76,8 +77,7 @@ class B2TElement:
         if self.eps == 0:
             return B2TElement(self.w.inverse(), -self.m, -self.n, 0)
         syl = self.w.syllables
-        i = sum(k for name, k in syl if name == "x")
-        j = sum(k for name, k in syl if name == "y")
+        i, j = _exponent_sums(syl)
         rev = FreeWord(XY, syl[::-1])
         return B2TElement(B_INV_WORD * U_WORD * rev * U_INV_WORD, -self.m - i, -self.n - j, 1)
 
@@ -131,12 +131,22 @@ U_WORD = X_WORD * Y_WORD.inverse()
 U_INV_WORD = U_WORD.inverse()
 
 
+def _exponent_sums(syllables: tuple[tuple[str, int], ...]) -> tuple[int, int]:
+    """The exponent sums of x and y in the syllables of a free part, a word
+    over XY (so every name but x is y), in one pass."""
+    i = j = 0
+    for name, k in syllables:
+        if name == "x":
+            i += k
+        else:
+            j += k
+    return i, j
+
+
 def conjugate_by_sigma(w: FreeWord) -> tuple[FreeWord, int, int]:
     """Return (w', dm, dn) with s * w * s^-1 = w' * a^dm * b^dn."""
-    flipped = FreeWord(XY, tuple((name, -k) for name, k in w.syllables))
-    dm = sum(k for name, k in w.syllables if name == "x")
-    dn = sum(k for name, k in w.syllables if name == "y")
-    return U_WORD * flipped * U_INV_WORD, dm, dn
+    dm, dn = _exponent_sums(w.syllables)
+    return U_WORD * FreeWord(XY, _negate(w.syllables)) * U_INV_WORD, dm, dn
 
 
 def from_word(w: FreeWord) -> B2TElement:

@@ -149,9 +149,7 @@ class FreeWord:
         return FreeWord(self.alphabet, left[:i] + middle + right[j:])
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(
-            self.alphabet, tuple((n, -e) for n, e in reversed(self.syllables))
-        )
+        return FreeWord(self.alphabet, _negate(reversed(self.syllables)))
 
     def __pow__(self, k: int) -> "FreeWord":
         """w^k in closed form, sized before it is built.
@@ -193,6 +191,28 @@ class FreeWord:
 
     def __str__(self) -> str:
         return format_word(self.syllables)
+
+
+class _Negations(dict):
+    """Syllable -> the same syllable with its exponent negated, filled on
+    first lookup."""
+
+    def __missing__(self, syllable: tuple[str, int]) -> tuple[str, int]:
+        name, exp = syllable
+        negated = self[syllable] = (name, -exp)
+        return negated
+
+
+def _negate(syllables: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """The syllables, in the given order, each with its exponent negated.
+
+    A table local to the call negates each distinct syllable once, and its
+    repeats share that one tuple: a long word over a few generators and small
+    exponents then costs a handful of new tuples, not one per syllable, and
+    leaves the garbage collector nearly nothing to track.  Tuples are
+    immutable, so sharing them is invisible to every caller.
+    """
+    return tuple(map(_Negations().__getitem__, syllables))
 
 
 def _check_size(size: int) -> None:
@@ -372,8 +392,9 @@ def oracle_normal_form(
     lowest rule index among those at that position) until none applies,
     free-reducing between steps.  The caller is responsible for supplying a
     terminating, confluent rule list; a step budget guards against accidental
-    non-termination, and a word over `DEFAULT_NF_BUDGET` letters is refused
-    before it is expanded.
+    non-termination.  A word over `DEFAULT_NF_BUDGET` letters is refused
+    before it is expanded, and so is a rewrite that grows the string past
+    that many letters, since each step copies the whole string.
 
     The word is rewritten as one `str`, one character per letter: generator j
     with sign e becomes chr(_CODE_BASE + 2j + (e < 0)), so a letter and its inverse
@@ -438,6 +459,11 @@ def oracle_normal_form(
                     i -= 1
                     j += 1
             s = s[:i] + rhs[k:m] + s[j:]
+            if len(s) > DEFAULT_NF_BUDGET:
+                raise NormalFormTooLarge(
+                    f"rewriting grew the word to {len(s)} letters, over the budget of "
+                    f"{DEFAULT_NF_BUDGET}"
+                )
             steps += 1
             if steps > max_steps:
                 raise RewriteBudgetExceeded(f"exceeded {max_steps} rewrite steps")

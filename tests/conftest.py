@@ -34,6 +34,20 @@ def random_word(rng: random.Random, alphabet: Alphabet, max_len: int = 16) -> Fr
     return alphabet.word(raw)
 
 
+def random_long_exponent_word(rng: random.Random, alphabet: Alphabet = XY) -> FreeWord:
+    """A word of 0, 1 or up to 60 syllables before reduction, with
+    exponents within +-3, so that syllables repeat, or up to +-10^12; a
+    quarter of them raised to a power up to 30, whose repeated syllables
+    are shared objects."""
+    scale = rng.choice([3, 10**12])
+    raw = [
+        (rng.choice(alphabet.names), rng.choice([-1, 1]) * rng.randint(1, scale))
+        for _ in range(rng.choice([0, 1, rng.randint(2, 60)]))
+    ]
+    word = alphabet.word(raw)
+    return word ** rng.randint(2, 30) if rng.random() < 0.25 else word
+
+
 def random_klein(rng: random.Random, bound: int = 20) -> KleinElement:
     return KleinElement(rng.randint(-bound, bound), rng.randint(-bound, bound))
 

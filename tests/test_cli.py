@@ -518,16 +518,15 @@ def test_internal_key_error_is_not_a_domain_error(monkeypatch, error):
 
 
 # Word, point and number fields of at most 12 bytes: words and point lists in
-# their grammars, or any text over their characters, cut to 12 bytes.  `nf` and
-# `inv` take word exponents up to 10^10, all that 12 bytes can write; with
-# closed-form powers and inverses their slowest known field, `s*B^-250000` in
-# `nf --group b2t`, takes 0.64 s on an idle 2-CPU Xeon.  `mul` and `hom-check`
-# make one near-budget product per word or relator letter, with no cap per
-# command: `mul --group b2t s*B^249999 s^-499999 s*B^249999` takes 1.45 s
-# idle, and a b2t spec with images s^499999, s^-499999 and three 3-letter
-# relators 1.77 s.  So their exponents stay within 10^5, where the slowest
-# spec found takes 0.81 s.  The examples cover inputs near and over the
-# normal-form budget.
+# their grammars, or any text over their characters, cut to 12 bytes.  Word
+# exponents reach 10^10, all that 12 bytes can write.  Closed-form powers and
+# inverses, and negation that shares one syllable among its repeats, keep the
+# slowest known fields under 1 s on an idle 2-CPU Xeon, in-process, best of 3:
+# `nf --group b2t --word s*B^-250000` takes 0.31 s, `mul --group b2t
+# s*B^249999 s^-499999 s*B^249999` 0.59 s, and a b2t spec with images
+# s^499999, s^-499999 and relators t*u*t, u*t*u, t^-1*u^-1 0.69 s.  A search
+# of 900 `mul` and `hom-check` commands over near-budget fields found none
+# over 0.73 s.  The examples cover inputs near and over the normal-form budget.
 TEXT = st.text(alphabet="albexysB1234567890*^-/,.;E ", max_size=12)
 COORD = st.integers(-9, 99).map(str) | st.builds(
     "{}/{}".format, st.integers(-9, 99), st.integers(0, 99)
@@ -536,21 +535,21 @@ POINTS = st.lists(st.builds("{},{}".format, COORD, COORD), max_size=3).map(";".j
 NUMBER = st.integers(-3, 120).map(str) | st.integers(-(10**10), 10**11).map(str) | TEXT
 
 
-def field(alphabet, bound=10**10):
-    """A word over the alphabet with exponents within +-bound, a point list
+def field(alphabet):
+    """A word over the alphabet with exponents within +-10^10, a point list
     or any text, cut to 12 bytes."""
     name = st.sampled_from(alphabet.names)
-    term = st.builds("{}^{}".format, name, st.integers(-bound, bound)) | name
+    term = st.builds("{}^{}".format, name, st.integers(-(10**10), 10**10)) | name
     word = st.lists(term, min_size=1, max_size=3).map("*".join)
     return st.one_of(word, POINTS, TEXT).map(lambda text: text[:12])
 
 
 def engine_argvs(group):
-    word, small = field(ENGINES[group].alphabet), field(ENGINES[group].alphabet, 10**5)
+    word = field(ENGINES[group].alphabet)
     return st.one_of(
         word.map(lambda w: ["nf", "--group", group, "--word", w]),
         word.map(lambda w: ["inv", "--group", group, "--word", w]),
-        st.lists(small, min_size=1, max_size=3).map(lambda ws: ["mul", "--group", group, *ws]),
+        st.lists(word, min_size=1, max_size=3).map(lambda ws: ["mul", "--group", group, *ws]),
     )
 
 
@@ -561,10 +560,10 @@ HOM_SPECS = st.sampled_from(sorted(ENGINES)).flatmap(
     lambda group: st.fixed_dictionaries(
         {
             "alphabet": st.just(list(HOM_NAMES.names)),
-            "relators": st.lists(field(HOM_NAMES, 10**5), min_size=1, max_size=3),
+            "relators": st.lists(field(HOM_NAMES), min_size=1, max_size=3),
             "target": st.just(group),
             "images": st.fixed_dictionaries(
-                {name: field(ENGINES[group].alphabet, 10**5) for name in HOM_NAMES.names}
+                {name: field(ENGINES[group].alphabet) for name in HOM_NAMES.names}
             ),
         }
     )
@@ -611,6 +610,8 @@ SHORT_ARGVS = st.one_of(
 @example(["inv", "--group", "b2t", "--word", "s^499999"], True)
 @example(["inv", "--group", "p2t", "--word", "B^250000"], True)
 @example(["mul", "--group", "b2t", "s^499999", "s^-499999", "s^499999"], True)
+@example(["mul", "--group", "b2t", "s*B^249999", "s^-499999", "s*B^249999"], True)
+@example(["hom-check", "--file", hom_spec("b2t", ["t*u*t", "u*t*u", "t^-1*u^-1"], t="s^499999", u="s^-499999")], True)
 @example(["hom-check", "--file", hom_spec("b2t", ["t*u*t", "u^2*t"], t="s*B^99999", u="B^-99999*s")], True)
 @example(["hom-check", "--file", hom_spec("p2t", ["t^9"], t="B^99999", u="x")], False)
 @example(["nab", "--surface", "orientable", "-g", "0", "-k", "1"], True)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from surfgroups.torusbraid import (
     B2T_ALPHABET,
     B2T_IMAGES,
+    B_INV_WORD,
     B_WORD,
     FULL_TWIST,
     GEN_A,
@@ -15,6 +16,8 @@ from surfgroups.torusbraid import (
     SIGMA,
     SIGMA_INV,
     XY,
+    U_INV_WORD,
+    U_WORD,
     B2TElement,
     conjugate_by_sigma,
     from_word,
@@ -26,6 +29,7 @@ from surfgroups.torusbraid import (
 from surfgroups.words import (
     Alphabet,
     DomainError,
+    FreeWord,
     NormalFormTooLarge,
     Presentation,
     commutator,
@@ -33,7 +37,14 @@ from surfgroups.words import (
     power,
 )
 
-from conftest import deadline, failures, letters, random_b2t, random_word
+from conftest import (
+    deadline,
+    failures,
+    letters,
+    random_b2t,
+    random_long_exponent_word,
+    random_word,
+)
 
 b2t_elements = st.builds(
     B2TElement,
@@ -210,6 +221,46 @@ def letterwise_conjugate(w):
         dm += da
         dn += db
     return result, dm, dn
+
+
+def summed_exponents(w):
+    """The two generator-expression sums that `_exponent_sums` replaced."""
+    i = sum(k for name, k in w.syllables if name == "x")
+    j = sum(k for name, k in w.syllables if name == "y")
+    return i, j
+
+
+def negating_conjugate(w):
+    """conjugate_by_sigma as it negated each syllable into a new tuple."""
+    flipped = FreeWord(XY, tuple((name, -k) for name, k in w.syllables))
+    return (U_WORD * flipped * U_INV_WORD, *summed_exponents(w))
+
+
+def summing_eps1_inverse(g):
+    """The eps = 1 inverse as it summed the exponents by two expressions."""
+    i, j = summed_exponents(g.w)
+    rev = FreeWord(XY, g.w.syllables[::-1])
+    return B2TElement(B_INV_WORD * U_WORD * rev * U_INV_WORD, -g.m - i, -g.n - j, 1)
+
+
+class TestNegationOracles:
+    """The shared-syllable negation and the one-pass exponent sums against
+    the forms they replaced."""
+
+    def test_conjugate_and_eps1_inverse_match_their_oracles(self, rng):
+        for _ in range(2000):
+            w = random_long_exponent_word(rng)
+            assert conjugate_by_sigma(w) == negating_conjugate(w)
+            g = B2TElement(w, rng.randint(-10**12, 10**12), rng.randint(-8, 8), 1)
+            assert g.inverse() == summing_eps1_inverse(g)
+
+    def test_conjugate_shares_one_tuple_per_distinct_syllable(self, rng):
+        """12 distinct syllables, plus at most the 4 syllables of u = x*y^-1
+        and u^-1 at the seams, or the merged syllables that replace them."""
+        w = XY.word((("x", "y")[k % 2], rng.choice([-3, -2, -1, 1, 2, 3])) for k in range(10_000))
+        conj, _, _ = conjugate_by_sigma(w)
+        assert len(conj.syllables) >= 9_996
+        assert len({id(syl) for syl in conj.syllables}) <= 12 + 4
 
 
 @st.composite

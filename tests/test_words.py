@@ -33,7 +33,15 @@ from surfgroups.words import (
     reduce_syllables,
 )
 
-from conftest import deadline, failures, letters, random_b2t, random_klein, random_word
+from conftest import (
+    deadline,
+    failures,
+    letters,
+    random_b2t,
+    random_klein,
+    random_long_exponent_word,
+    random_word,
+)
 
 AB = Alphabet.of("x", "y")
 
@@ -108,6 +116,19 @@ class TestGroupLaws:
     def test_invert_reduced_word(self):
         comm = w("x") * w("y^-1") * w("x^-1") * w("y")
         assert comm.inverse() == w("y^-1") * w("x") * w("y") * w("x^-1")
+
+    def test_inverse_matches_negating_each_syllable(self, rng):
+        """The oracle is the generator expression that `inverse` replaced."""
+        for _ in range(2000):
+            u = random_long_exponent_word(rng, AB)
+            expected = tuple((n, -e) for n, e in reversed(u.syllables))
+            assert u.inverse().syllables == expected
+
+    def test_inverse_shares_one_tuple_per_distinct_syllable(self, rng):
+        u = AB.word((("x", "y")[k % 2], rng.choice([-3, -2, -1, 1, 2, 3])) for k in range(10_000))
+        inv = u.inverse()
+        assert len(inv.syllables) == 10_000
+        assert len({id(syl) for syl in inv.syllables}) <= 12
 
     def test_identity_law(self):
         word = w("x*y^2*x^-1")
@@ -368,6 +389,18 @@ class TestRewriteOracle:
                 oracle_normal_form(klein_rewrite_rules(), KLEIN_ALPHABET.parse("be*al^999999999"))
             at_budget = KLEIN_ALPHABET.gen("al", DEFAULT_NF_BUDGET)
             assert oracle_normal_form(klein_rewrite_rules(), at_budget) == at_budget
+
+    def test_refuses_a_rewrite_that_grows_past_the_budget(self):
+        # Each step copies the whole string, and x -> x^1000 grows it by 999
+        # letters a step: without the letter cap it would run until the step
+        # budget, at 10^9 letters.
+        with deadline(2.0):
+            with pytest.raises(NormalFormTooLarge, match="grew the word to 1000999 letters"):
+                oracle_normal_form([RewriteRule(w("x"), w("x^1000"))], w("x"))
+            to_budget = RewriteRule(w("x"), w(f"y^{DEFAULT_NF_BUDGET}"))
+            assert oracle_normal_form([to_budget], w("x")) == to_budget.rhs
+            with pytest.raises(NormalFormTooLarge, match=f"{DEFAULT_NF_BUDGET + 1} letters"):
+                oracle_normal_form([to_budget], w("x^2"))
 
 
 class TestOracleEncoding:
