@@ -1,18 +1,23 @@
-"""Write BENCH_<pr>.json: medians of the perfbench end-to-end metrics over a
-fixed seed list, one traced run per workload, and the tier-1 wall time.
+"""Write BENCH_<pr>.json: alternating parent/change pairs of every perfbench
+workload, both sides measured the same way.
 
-    python3 scripts/bench.py --pr 6
+    python3 scripts/bench.py --pr N --parent HEAD~1 [--workload W] [--pairs K]
 
-It runs `perfbench/run.py` for BENCHMARK.json's `run_seconds` once per
-workload and seed (1, 2, 3) with `--trace 0`, and once per workload with
-`--trace 1` on seed 1, about nine minutes in all.  Before and after those
-runs it times a fixed pure-Python loop (best of 5) and stores both times.
-Then it prints each metric's ratio to the newest earlier BENCH_*.json, the
-calibration loop's ratio first: a ratio across files measures the machine
-too, and a workload ratio near the calibration ratio is machine drift, not a
-change in the code.  Measure the files to compare on the same machine.  When
-that file is not BENCH_<pr-1>.json, it first names the PRs the ratios span,
-for example "ratios to BENCH_19.json span PRs 20–21".
+The parent REV and the change (`git stash create` if the working tree has
+uncommitted edits, else HEAD) are exported with `git archive REV | tar -x`
+into sibling directories of one temporary directory; nothing is written into
+the working tree.  Per workload, K (default 10) pairs of `perfbench/run.py
+--trace 0` run for BENCHMARK.json's `run_seconds`, alternating which side goes
+first; pair k runs seed S + k on both sides, S taken from the change commit's
+hash.  One `--trace 1` run per side on seed S gives the per-layer trace.  A
+fixed pure-Python loop is timed before and after, and tier-1 on the change.
+
+Per workload and side the file holds every run, each end-to-end metric's
+quartiles and the failed/attempted operations; per metric, the change/parent
+ratio of the medians, the pairs each side won (ties count for neither) and
+whether the median gap exceeds the parent's interquartile range.  A run that
+exits nonzero or answers wrongly stays with its pair, is left out of the
+comparison, and makes the script exit 1.
 """
 from __future__ import annotations
 
@@ -20,18 +25,31 @@ import argparse
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
-SEEDS = (1, 2, 3)  # the same on every BENCH file, so that files compare
-SECONDS = SPEC["run_seconds"]
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the files of commit `rev` into dest: `git archive REV | tar -x`."""
+    dest.mkdir()
+    archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise SystemExit(f"git archive {rev} failed")
 
 
 def calibrate() -> float:
@@ -47,92 +65,125 @@ def calibrate() -> float:
     return best
 
 
-def perfbench(workload: str, seed: int, trace: int) -> dict:
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One `perfbench/run.py` run in tree.  A run that exits nonzero carries
+    an "error" key in place of its results."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True, text=True).stdout
-    result = json.loads(out.splitlines()[-1])
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode or not lines:
+        return {"seed": seed, "error": proc.stderr[-2000:] or f"exit {proc.returncode}"}
+    result = json.loads(lines[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
-    return {key: result[key] for key in ("correct", "attempted", "failed")} | values
+    return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], "values": values}
 
 
-def run_workload(workload: str) -> dict:
-    runs = [perfbench(workload, seed, 0) for seed in SEEDS]
-    medians = {m["name"]: statistics.median(r[m["name"]] for r in runs) for m in SPEC["end_to_end"]}
-    traced = perfbench(workload, SEEDS[0], 1)
-    return {
-        "end_to_end": medians,
-        "failed": sum(r["failed"] for r in runs),
-        "attempted": sum(r["attempted"] for r in runs),
-        "correct": all(r["correct"] for r in runs + [traced]),
-        "runs": dict(zip(map(str, SEEDS), runs)),
-        "per_layer": {m["name"]: traced[m["name"]] for m in SPEC["per_layer"]},
-    }
+def ok(result: dict) -> bool:
+    return "error" not in result and result["correct"]
 
 
-def tier1() -> dict:
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return (values[0],) * 3 if values else (float("nan"),) * 3
+    return tuple(statistics.quantiles(values, n=4))
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """The comparison of run pairs, each {"parent": run, "change": run}, over
+    the end-to-end `metrics` (BENCHMARK.json entries with "name" and "better")."""
+    both = [(p["parent"], p["change"]) for p in pairs if ok(p["parent"]) and ok(p["change"])]
+    summary = {}
+    for side in SIDES:
+        runs = [pair[side] for pair in pairs]
+        good = [r for r in runs if ok(r)]
+        summary[side] = {
+            "runs": runs,
+            "bad_runs": len(runs) - len(good),
+            "failed": sum(r["failed"] for r in good),
+            "attempted": sum(r["attempted"] for r in good),
+            "quartiles": {m["name"]: quartiles([r["values"][m["name"]] for r in good])
+                          for m in metrics},
+        }
+    summary["compare"] = {}
+    for m in metrics:
+        name, sign = m["name"], 1 if m["better"] == "lower" else -1
+        gaps = [sign * (c["values"][name] - p["values"][name]) for p, c in both]
+        p, c = (summary[side]["quartiles"][name] for side in SIDES)
+        summary["compare"][name] = {
+            "ratio": c[1] / p[1] if p[1] else float("nan"),
+            "won": sum(gap < 0 for gap in gaps),
+            "lost": sum(gap > 0 for gap in gaps),
+            "pairs": len(gaps),
+            "gap_exceeds_iqr": abs(c[1] - p[1]) > p[2] - p[0],
+        }
+    return summary
+
+
+def print_summary(workload: str, summary: dict) -> None:
+    print(f"{workload}: {len(summary['parent']['runs'])} pairs")
+    print(f"  {'metric':<13} {'parent q1/median/q3':>30} {'change q1/median/q3':>30} "
+          f"{'ratio':>7} {'won':>6}  gap>IQR")
+    for name, cmp in summary["compare"].items():
+        p, c = ("/".join(f"{v:.4g}" for v in summary[side]["quartiles"][name]) for side in SIDES)
+        print(f"  {name:<13} {p:>30} {c:>30} {cmp['ratio']:7.3f} {cmp['won']:>3}/{cmp['pairs']:<2}"
+              f"  {'yes' if cmp['gap_exceeds_iqr'] else 'no'}")
+    for side in SIDES:
+        s = summary[side]
+        print(f"  failed {side:<6} {s['failed']} of {s['attempted']}, bad runs {s['bad_runs']}")
+
+
+def tier1(tree: Path) -> dict:
     path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     start = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - start
-    summary = proc.stdout.strip().splitlines()[-1]
-    return {"wall_s": wall, "exit": proc.returncode, "summary": summary}
-
-
-def previous(pr: int) -> Path | None:
-    found = [(int(m.group(1)), p) for p in ROOT.glob("BENCH_*.json")
-             if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name)) and int(m.group(1)) < pr]
-    return max(found)[1] if found else None
-
-
-def print_ratios(bench: dict, base: dict) -> None:
-    for when, now in bench["calibration"].items():  # older files have no calibration
-        was = base.get("calibration", {}).get(when)
-        ratio = f"{now / was:8.3f}  ({was:.4g} -> {now:.4g})" if was else f"     n/a  (-> {now:.4g})"
-        print(f"calibration {when:<32} {ratio}")
-    for name, new in bench["workloads"].items():
-        old = base["workloads"].get(name, {})
-        for kind in ("end_to_end", "per_layer"):
-            for metric, value in new[kind].items():
-                was = old.get(kind, {}).get(metric)
-                if was:
-                    print(f"{name:<11} {metric:<32} {value / was:8.3f}  ({was:.4g} -> {value:.4g})")
-    print(f"tier-1 wall_s {bench['tier1']['wall_s'] / base['tier1']['wall_s']:8.3f}")
+    proc = subprocess.run(TIER1, cwd=tree, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    wall, lines = time.perf_counter() - start, proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
 def main() -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
+    parser.add_argument("--parent", required=True, help="commit to compare the change with")
+    parser.add_argument("--workload", choices=names, help="run only this workload")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     args = parser.parse_args()
-    git = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
-    # Uncommitted edits under src/ mean the numbers are not those of the commit.
-    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
-                            capture_output=True, text=True)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    revs = {"parent": git("rev-parse", args.parent),
+            "change": git("rev-parse", git("stash", "create") or "HEAD")}
+    seed, seconds = int(revs["change"][:6], 16), spec["run_seconds"]
     before = calibrate()
-    bench = {
-        "commit": git.stdout.strip() or "unknown",
-        "src_dirty": bool(status.stdout.strip()),
-        "python": platform.python_version(),
-        "nproc": os.cpu_count(),
-        "seeds": SEEDS,
-        "seconds": SECONDS,
-        "workloads": {w["name"]: run_workload(w["name"]) for w in SPEC["workloads"]},
-        "tier1": tier1(),
-    }
+    bench = {"commits": revs, "python": platform.python_version(), "nproc": os.cpu_count(),
+             "seconds": seconds, "seeds": list(range(seed, seed + args.pairs)), "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for side, tree in trees.items():
+            export(revs[side], tree)
+        for workload in [args.workload] if args.workload else names:
+            pairs = []
+            for k in range(args.pairs):
+                order = SIDES if k % 2 == 0 else SIDES[::-1]
+                pairs.append({side: run(trees[side], workload, seed + k, seconds, 0)
+                              for side in order})
+                print(f"{workload}: pair {k + 1}/{args.pairs} done", file=sys.stderr)
+            summary = summarize(pairs, spec["end_to_end"])
+            for side in SIDES:
+                summary[side]["trace"] = run(trees[side], workload, seed, seconds, 1)
+            bench["workloads"][workload] = summary
+            print_summary(workload, summary)
+        bench["tier1"] = tier1(trees["change"])
     bench["calibration"] = {"before_s": before, "after_s": calibrate()}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out.name}")
-    base_path = previous(args.pr)
-    if base_path is not None:
-        base_pr = int(base_path.stem.split("_")[1])
-        if base_pr != args.pr - 1:
-            # Every change since base_pr lands in these ratios, not only this one.
-            print(f"ratios to {base_path.name} span PRs {base_pr + 1}\u2013{args.pr}")
-        print(f"ratios to {base_path.name} (new / old)")
-        print_ratios(bench, json.loads(base_path.read_text()))
-    return 0
+    runs = [r for w in bench["workloads"].values() for side in SIDES
+            for r in w[side]["runs"] + [w[side]["trace"]]]
+    return 0 if all(map(ok, runs)) else 1
 
 
 if __name__ == "__main__":

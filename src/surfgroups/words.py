@@ -101,19 +101,15 @@ def reduce_syllables(
     raw: Iterable[tuple[str, int]], alphabet: Alphabet | None = None
 ) -> tuple[tuple[str, int], ...]:
     """Freely reduce a raw syllable list.  Idempotent."""
-    stack: list[list] = []
+    stack: list[tuple[str, int]] = []
     for name, exp in raw:
         if alphabet is not None and name not in alphabet:
             raise DomainError(f"generator {name!r} not in alphabet {alphabet.names}")
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] == name:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([name, exp])
-    return tuple((n, e) for n, e in stack)
+        if exp and stack and stack[-1][0] == name:
+            exp += stack.pop()[1]
+        if exp:
+            stack.append((name, exp))
+    return tuple(stack)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,37 @@ class TestReduce:
         with pytest.raises(DomainError, match="generator 'z' not in alphabet"):
             AB.word([("z", 1)])
 
+    def test_matches_letter_by_letter_oracle(self, rng):
+        cases = [[("x", 2), ("y", 1), ("y", -1), ("x", -2)]]
+        for _ in range(2000):
+            raw = [(rng.choice("xy"), rng.randint(-3, 3)) for _ in range(rng.randint(0, 10))]
+            if rng.random() < 0.5:  # a core followed by its inverse: nested cancellation
+                core = [(rng.choice("xy"), rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))]
+                at = rng.randint(0, len(raw))
+                raw[at:at] = core + [(n, -e) for n, e in reversed(core)]
+            cases.append(raw)
+        for raw in cases:
+            got = reduce_syllables(raw, AB)
+            assert got == letter_reduce(raw)
+            assert all(type(syllable) is tuple for syllable in got)
+            hash(got)
+        assert reduce_syllables(cases[0]) == ()
+
+
+def letter_reduce(raw) -> tuple[tuple[str, int], ...]:
+    """Slow oracle for `reduce_syllables`: expand every syllable into +-1
+    letters, cancel them on a stack, and run-length encode what is left."""
+    stack: list[tuple[str, int]] = []
+    for name, exp in raw:
+        step = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            if stack and stack[-1] == (name, -step):
+                stack.pop()
+            else:
+                stack.append((name, step))
+    runs = itertools.groupby(stack, lambda letter: letter[0])
+    return tuple((name, sum(step for _, step in run)) for name, run in runs)
+
 
 syllable_lists = st.lists(
     st.tuples(st.sampled_from(["x", "y"]), st.integers(-4, 4)), max_size=20
